@@ -26,7 +26,7 @@ from regmdp import (
 harm = HarmModel(0.1, 0.9, 3.0)
 cost = CostModel(0.5, 0.1)
 welfare = WelfareModel(harm, cost, damage=2.0)
-e_star = socially_optimal_effort(welfare, tol=1e-10)
+e_star = socially_optimal_effort(welfare)
 print(f"target effort e* = {e_star:.6f}")
 
 # the requirement ladder the regulator already runs in calm times,

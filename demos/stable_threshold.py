@@ -51,7 +51,7 @@ gap = float(np.max(np.abs(vi_values.values - values.values)))
 print(f"value iteration agrees with the threshold policy to {gap:.2e}")
 
 welfare = WelfareModel(harm, cost, damage=2.0)
-e_star = socially_optimal_effort(welfare, tol=1e-10)
+e_star = socially_optimal_effort(welfare)
 g = overreaction_gap(mdp, welfare, refine_tol=1e-6)
 print(f"\nsocially optimal effort e* = {e_star:.6f}")
 print(f"overreaction gap e^ - e*   = {g:+.6f}")

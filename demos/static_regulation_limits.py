@@ -50,7 +50,7 @@ print(f"  max induced-minus-required over 200 random regimes: {worst:+.2e}")
 
 print("\none requirement, two cost structures:")
 cheap = CostModel(0.2, 0.05)
-report = impossibility_report(harm, 2.0, cost, cheap, gamma=0.9, drift=None)
+report = impossibility_report(harm, 2.0, cost, cheap, gamma=0.9)
 print(f"  platform with cost 0.5e^2 + 0.10e wants e* = {report.e_star_1:.6f}")
 print(f"  platform with cost 0.2e^2 + 0.05e wants e* = {report.e_star_2:.6f}")
 print(f"  candidate requirements tried: {len(report.rows)}")

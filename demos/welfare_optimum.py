@@ -21,7 +21,7 @@ for e in np.linspace(0.0, 1.0, 11):
         f"{welfare.expected_welfare(e):+.6f}"
     )
 
-e_star = socially_optimal_effort(welfare, tol=1e-10)
+e_star = socially_optimal_effort(welfare)
 print(f"\noptimal effort e* = {e_star:.6f}")
 print(f"welfare at e*     = {welfare.expected_welfare(e_star):+.6f}")
 print(f"marginal welfare  = {welfare.marginal_welfare(e_star):+.2e} (zero at the peak)")
@@ -29,5 +29,5 @@ print(f"marginal welfare  = {welfare.marginal_welfare(e_star):+.2e} (zero at the
 print("\nthe optimum rises with the damage at stake:")
 for damage in (0.5, 1.0, 2.0, 5.0, 20.0):
     w = WelfareModel(harm, cost, damage)
-    print(f"  damage {damage:5.1f} -> e* = {socially_optimal_effort(w, tol=1e-10):.6f}")
+    print(f"  damage {damage:5.1f} -> e* = {socially_optimal_effort(w):.6f}")
 print("(at damage 20 the ceiling of 1.0 binds)")

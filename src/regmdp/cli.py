@@ -20,8 +20,8 @@ import traceback
 import warnings
 
 import numpy as np
-import scipy
 
+from . import __version__
 from .config import Config, load_config
 from .errors import (
     ConfigError,
@@ -34,7 +34,7 @@ from .errors import (
 from .mdp import Policy, build_action_grid
 from .policy import evaluate_policy, evaluate_threshold_policy
 from .primitives import socially_optimal_effort
-from .simulate import estimate_value, minimal_horizon
+from .simulate import _Z_95, estimate_value
 from .thresholds import (
     RampAuditFailure,
     StaticRegime,
@@ -46,8 +46,6 @@ from .thresholds import (
     static_optimal_effort,
 )
 from .verification import run_all
-
-_VERSION = "0.1.0"
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +121,7 @@ def write_meta(path: str, command: str, config: Config, results: dict,
         "versions": {
             "numpy": np.__version__,
             "python": platform.python_version(),
-            "regmdp": _VERSION,
-            "scipy": scipy.__version__,
+            "regmdp": __version__,
         },
     }
     with open(path, "w") as fh:
@@ -154,8 +151,7 @@ def _cmd_welfare(config: Config):
         }
         for i in range(grid.size)
     ]
-    e_star = socially_optimal_effort(welfare, tol=config["refine_tol"],
-                                     e_max=config["effort_max"])
+    e_star = socially_optimal_effort(welfare, e_max=config["effort_max"])
     results = {
         "optimal_effort": e_star,
         "welfare_at_optimum": float(welfare.expected_welfare(e_star)),
@@ -178,8 +174,7 @@ def _cmd_solve(config: Config):
         }
         for i in range(mdp.space.n_states)
     ]
-    e_star = socially_optimal_effort(config.welfare(), tol=config["refine_tol"],
-                                     e_max=config["effort_max"])
+    e_star = socially_optimal_effort(config.welfare(), e_max=config["effort_max"])
     results = {
         "stable_effort": stable,
         "optimal_effort": e_star,
@@ -268,8 +263,7 @@ def _cmd_static(config: Config):
 def _cmd_impossibility(config: Config):
     report = impossibility_report(
         config.harm(), config["damage"], config.cost(), config.second_cost(),
-        config["gamma"], config.drift_model(config["state_count"]),
-        e_max=config["effort_max"], candidate_step=config["action_step"],
+        config["gamma"], e_max=config["effort_max"], candidate_step=config["action_step"],
     )
     rows = report.records()
     results = {
@@ -289,14 +283,13 @@ def _cmd_simulate(config: Config):
     policy = Policy.threshold(mdp.space, stable)
     start = config["start_state"]
     start_level = mdp.space.backlash_level if start is None else float(start)
-    horizon = config["horizon"] or None
     estimate = estimate_value(
         mdp, policy, start_level=start_level,
-        n_episodes=config["episodes"], horizon=horizon, seed=config["seed"],
+        n_episodes=config["episodes"], horizon=config["horizon"] or None, seed=config["seed"],
     )
     analytic = float(evaluate_policy(mdp, policy)[mdp.space.index_of(start_level)])
     error = abs(estimate.mean - analytic)
-    se = estimate.half_width_95 / 1.959963984540054
+    se = estimate.half_width_95 / _Z_95
     if se > 0:
         z = (estimate.mean - analytic) / se
     else:
@@ -305,7 +298,7 @@ def _cmd_simulate(config: Config):
     rows = [
         {
             "episodes": config["episodes"],
-            "horizon": horizon if horizon is not None else minimal_horizon(mdp, 1e-6),
+            "horizon": estimate.horizon,
             "start_effort": start_level,
             "estimate": estimate.mean,
             "half_width_95": estimate.half_width_95,

@@ -10,8 +10,8 @@ import warnings
 
 from .errors import ConfigError
 from .mdp import RegulationMdp, StateSpace, build_action_grid, build_state_space
-from .primitives import CostModel, DriftModel, HarmModel, WelfareModel
-from .thresholds import RampAuditFailure, StaticRegime, StepAuditFailure
+from .primitives import CostModel, DriftModel, HarmModel, WelfareModel, socially_optimal_effort
+from .thresholds import RampAuditFailure, StaticRegime, StepAuditFailure, _design_constant
 
 DEFAULTS = {
     "h_min": 0.1,
@@ -191,7 +191,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Confi
     gamma = config["gamma"]
     if 0 < gamma < 1:
         welfare = config.welfare()
-        e_star = _quiet_optimum(welfare, config["effort_max"])
+        e_star = socially_optimal_effort(welfare, e_max=config["effort_max"])
         if e_star > 1e-12:
             needed = _design_constant(welfare, gamma, e_star)
             ceiling = welfare.cost.value(config["effort_max"]) / (1.0 - gamma)
@@ -205,17 +205,3 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Confi
                 )
     return config
 
-
-def _quiet_optimum(welfare: WelfareModel, e_max: float) -> float:
-    from .primitives import socially_optimal_effort
-
-    return socially_optimal_effort(welfare, e_max=e_max)
-
-
-def _design_constant(welfare: WelfareModel, gamma: float, e_star: float) -> float:
-    h = welfare.harm
-    c = welfare.cost
-    hold = c.value(e_star) - c.derivative(e_star) * (
-        1.0 - gamma * (1.0 - h.prob(e_star))
-    ) / (gamma * h.derivative(e_star))
-    return hold / (1.0 - gamma)

@@ -8,7 +8,6 @@ numpy array of efforts and return a matching scalar or array.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConstructionError, DomainError
 
@@ -200,20 +199,38 @@ class WelfareModel:
         return _match_input(np.asarray(out))
 
 
-def socially_optimal_effort(model: WelfareModel, tol: float = 1e-6, e_max: float = 1.0) -> float:
+def _bisect(holds, lo: float, hi: float, tol: float) -> float:
+    """Midpoint of the bracket that bisection on a predicate leaves behind.
+
+    The predicate holds at lo and fails at hi; each step keeps lo wherever it
+    holds. The search stops once hi - lo <= tol or the midpoint no longer lies
+    strictly inside the bracket, so tol = 0 means "to float resolution" and no
+    tolerance below the float spacing can stall it.
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def socially_optimal_effort(model: WelfareModel, *, e_max: float = 1.0) -> float:
     """Effort level maximizing expected welfare on [0, e_max].
 
     Marginal welfare is strictly decreasing, so the interior first-order
-    condition -h'(e) * damage = c'(e) has at most one root; when no interior
-    root exists the maximizing boundary is returned. With damage zero the
-    marginal is negative everywhere and the answer is 0.
+    condition -h'(e) * damage = c'(e) has at most one root, found by bisection
+    to float resolution; when no interior root exists the maximizing boundary
+    is returned. With damage zero the marginal is negative everywhere and the
+    answer is 0.
     """
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol}")
     if not e_max > 0:
         raise DomainError(f"e_max must be positive, got {e_max}")
     if model.marginal_welfare(0.0) <= 0.0:
         return 0.0
     if model.marginal_welfare(e_max) >= 0.0:
         return float(e_max)
-    return float(brentq(model.marginal_welfare, 0.0, e_max, xtol=tol))
+    return _bisect(lambda e: model.marginal_welfare(e) > 0.0, 0.0, float(e_max), 0.0)

@@ -103,6 +103,7 @@ class ValueEstimate(NamedTuple):
     mean: float
     half_width_95: float
     truncation_bound: float
+    horizon: int
 
 
 def truncation_bound(mdp: RegulationMdp, horizon: int) -> float:
@@ -193,4 +194,4 @@ def estimate_value(
     mean = float(returns.mean())
     sd = float(returns.std(ddof=1))
     half_width = _Z_95 * sd / np.sqrt(n_episodes)
-    return ValueEstimate(mean, float(half_width), float(bound))
+    return ValueEstimate(mean, float(half_width), float(bound), horizon)

@@ -20,7 +20,11 @@ from .errors import (
 )
 from .mdp import ActionGrid, RegulationMdp, StateSpace, build_action_grid
 from .policy import evaluate_threshold_policy
-from .primitives import CostModel, DriftModel, HarmModel, WelfareModel, socially_optimal_effort
+from .primitives import (
+    CostModel, DriftModel, HarmModel, WelfareModel, _bisect, socially_optimal_effort,
+)
+
+_ATTAIN_TOL = 1e-3  # how close a requirement must come to an optimum to attain it
 
 # ---------------------------------------------------------------------------
 # static audit regime
@@ -121,12 +125,14 @@ def _hold_margin(mdp: RegulationMdp, e: float) -> float:
     the stable effort is the supremum of the region where this stays
     non-negative. Uses the fact that all states at or below the threshold
     share the low-state value, so the comparison reduces to the value gap
-    against the backlash state plus the local cost/harm trade-off.
+    against the backlash state plus the local cost/harm trade-off:
+    gap + c'(e) / (gamma * h'(e)) >= 0. That condition is multiplied through
+    by -gamma * h'(e) >= 0 rather than divided by h'(e), which underflows to
+    zero on steep harm curves; a zero slope then reads as "holding never pays".
     """
     vf = evaluate_threshold_policy(mdp, e)
     gap = vf[0] - vf.at_backlash
-    trade = float(mdp.cost.derivative(e)) / (mdp.gamma * float(mdp.harm.derivative(e)))
-    return gap + trade
+    return -mdp.gamma * float(mdp.harm.derivative(e)) * gap - float(mdp.cost.derivative(e))
 
 
 def optimal_threshold(mdp: RegulationMdp, refine_tol: float = 1e-6) -> float:
@@ -151,13 +157,7 @@ def optimal_threshold(mdp: RegulationMdp, refine_tol: float = 1e-6) -> float:
     if i == cand.size - 1:
         return float(cand[-1])
     lo, hi = float(cand[i]), float(cand[i + 1])  # margin(lo) >= 0 > margin(hi)
-    while hi - lo > refine_tol:
-        mid = 0.5 * (lo + hi)
-        if _hold_margin(mdp, mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda e: _hold_margin(mdp, e) >= 0.0, lo, hi, refine_tol)
 
 
 def overreaction_gap(mdp: RegulationMdp, welfare: WelfareModel, refine_tol: float = 1e-6) -> float:
@@ -167,7 +167,7 @@ def overreaction_gap(mdp: RegulationMdp, welfare: WelfareModel, refine_tol: floa
     the gap: holding the backlash level itself is worthless there, so the
     stable effort falls strictly short. That sign is re-checked on every call.
     """
-    e_star = socially_optimal_effort(welfare, tol=1e-10, e_max=mdp.actions.e_max)
+    e_star = socially_optimal_effort(welfare, e_max=mdp.actions.e_max)
     stable = optimal_threshold(mdp, refine_tol)
     gap = stable - e_star
     if mdp.space.backlash_level <= e_star + 1e-12 and not gap < 0:
@@ -194,6 +194,15 @@ class BacklashDesign:
     degenerate: bool = False
 
 
+def _design_constant(welfare: WelfareModel, gamma: float, e_star: float) -> float:
+    """Lifetime cost K that the backlash state must impose to make e_star stable."""
+    harm, cost = welfare.harm, welfare.cost
+    hold = cost.value(e_star) - cost.derivative(e_star) * (
+        1.0 - gamma * (1.0 - harm.prob(e_star))
+    ) / (gamma * harm.derivative(e_star))
+    return hold / (1.0 - gamma)
+
+
 def design_backlash(
     welfare: WelfareModel,
     gamma: float,
@@ -204,7 +213,6 @@ def design_backlash(
     e_max: float = 1.0,
     action_step: float = 1e-3,
     refine_tol: float = 1e-6,
-    verify_tol: float | None = None,
 ) -> BacklashDesign:
     """Pick the backlash level that makes the socially optimal effort stable.
 
@@ -219,8 +227,8 @@ def design_backlash(
     is negative for weak backlash levels and crosses zero before the effort
     ceiling whenever the ceiling's cost is sufficiently large. Bisection on
     the bracket pins the level to within tol, then the designed MDP is
-    re-solved and the achieved stable effort must land within verify_tol of
-    the target (default: two action-grid steps).
+    re-solved and the achieved stable effort must land within two action-grid
+    steps of the target.
     """
     if not 0.0 < gamma < 1.0:
         raise DomainError(
@@ -233,11 +241,9 @@ def design_backlash(
     lower = space_template.levels[:-1]
     if lower[-1] >= e_max:
         raise ConstructionError("the template's fixed levels must sit below the effort ceiling")
-    if verify_tol is None:
-        verify_tol = 2.0 * action_step
 
     harm, cost = welfare.harm, welfare.cost
-    e_star = socially_optimal_effort(welfare, tol=1e-10, e_max=e_max)
+    e_star = socially_optimal_effort(welfare, e_max=e_max)
 
     def probe_mdp(e_h: float) -> RegulationMdp:
         space = StateSpace(np.append(lower, e_h))
@@ -253,11 +259,7 @@ def design_backlash(
         achieved = optimal_threshold(probe_mdp(e_h), refine_tol)
         return BacklashDesign(e_star, e_h, achieved, math.nan, degenerate=True)
 
-    h_star = float(harm.prob(e_star))
-    k_constant = (
-        cost.value(e_star)
-        - cost.derivative(e_star) * (1.0 - gamma * (1.0 - h_star)) / (gamma * harm.derivative(e_star))
-    ) / (1.0 - gamma)
+    k_constant = _design_constant(welfare, gamma, e_star)
 
     def probe_gap(e_h: float) -> float:
         vf = evaluate_threshold_policy(probe_mdp(e_h), e_star)
@@ -275,21 +277,14 @@ def design_backlash(
             "the template's fixed levels sit too high: the probe already overshoots "
             f"at the smallest valid backlash level {lo:.6g}"
         )
-    hi = e_max
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if probe_gap(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    e_h = 0.5 * (lo + hi)
+    e_h = _bisect(lambda e: probe_gap(e) <= 0.0, lo, e_max, tol)
     residual = probe_gap(e_h)
 
     achieved = optimal_threshold(probe_mdp(e_h), refine_tol)
-    if abs(achieved - e_star) > verify_tol:
+    if abs(achieved - e_star) > 2.0 * action_step:
         raise RuntimeError(
             f"designed backlash level {e_h:.6g} yields stable effort {achieved:.6g}, "
-            f"off the target {e_star:.6g} by more than {verify_tol:.3g}"
+            f"off the target {e_star:.6g} by more than two action steps"
         )
     if not e_h > e_star:
         raise RuntimeError(
@@ -324,11 +319,9 @@ def impossibility_report(
     cost_1: CostModel,
     cost_2: CostModel,
     gamma: float,
-    drift: DriftModel,
     *,
     e_max: float = 1.0,
     candidate_step: float = 1e-3,
-    attain_tol: float = 1e-3,
 ) -> ImpossibilityReport:
     """Demonstrate that one required effort cannot be right for two platforms.
 
@@ -338,21 +331,19 @@ def impossibility_report(
     induced effort per candidate requirement is the requirement itself. The
     sweep tabulates, for each candidate, the distance to each platform's
     optimum and the per-period and discounted welfare losses; the conclusion
-    flag records that no candidate lands within attain_tol of both optima.
+    flag records that no candidate lands within attain_tol (1e-3) of both
+    optima.
 
     The demonstration itself is static: gamma only converts per-period losses
-    into discounted totals, and drift is accepted for interface symmetry with
-    the adaptive machinery but plays no role here.
+    into discounted totals.
     """
     if not 0.0 <= gamma < 1.0:
         raise DomainError(f"gamma must lie in [0, 1), got {gamma}")
-    if drift is not None and len(drift) < 1:
-        raise ConstructionError("drift, when given, must define at least one state")
     w1 = WelfareModel(h, cost_1, damage)
     w2 = WelfareModel(h, cost_2, damage)
-    e1 = socially_optimal_effort(w1, tol=1e-10, e_max=e_max)
-    e2 = socially_optimal_effort(w2, tol=1e-10, e_max=e_max)
-    degenerate = abs(e1 - e2) <= attain_tol
+    e1 = socially_optimal_effort(w1, e_max=e_max)
+    e2 = socially_optimal_effort(w2, e_max=e_max)
+    degenerate = abs(e1 - e2) <= _ATTAIN_TOL
 
     # both optima anchor the candidate grid; collapse them when they coincide
     anchors = (e1,) if abs(e1 - e2) <= 1e-12 else (e1, e2)
@@ -365,7 +356,7 @@ def impossibility_report(
         gap1, gap2 = e_c - e1, e_c - e2
         loss1 = float(w1.expected_welfare(e1) - w1.expected_welfare(e_c))
         loss2 = float(w2.expected_welfare(e2) - w2.expected_welfare(e_c))
-        attains_both = abs(gap1) <= attain_tol and abs(gap2) <= attain_tol
+        attains_both = abs(gap1) <= _ATTAIN_TOL and abs(gap2) <= _ATTAIN_TOL
         if attains_both:
             all_miss = False
         rows.append(
@@ -382,4 +373,4 @@ def impossibility_report(
             )
         )
     conclusion = all_miss and not degenerate
-    return ImpossibilityReport(e1, e2, degenerate, attain_tol, tuple(rows), conclusion)
+    return ImpossibilityReport(e1, e2, degenerate, _ATTAIN_TOL, tuple(rows), conclusion)

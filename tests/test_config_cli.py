@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -12,6 +16,7 @@ from regmdp import ConfigError, DEFAULTS, load_config
 from regmdp.cli import emit_csv, run
 
 E_STAR = 0.6284733737717892
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def quiet_config(**overrides):
@@ -176,6 +181,13 @@ class TestCliCommands:
         assert meta["results"]["stable_effort"] == pytest.approx(0.4508, abs=1e-3)
         assert meta["results"]["overreaction_gap"] < 0
 
+    def test_solve_survives_a_harm_slope_that_underflows(self, tmp_path):
+        cfg = write_json(tmp_path / "c.json", {"k": 2000})
+        out = tmp_path / "solve.csv"
+        assert run(["solve", "--config", cfg, "--out", str(out)]) == 0
+        meta = json.loads((tmp_path / "solve.meta.json").read_text())
+        assert 0.0 < meta["results"]["stable_effort"] < 0.1
+
     def test_solve_with_myopic_platform(self, tmp_path):
         cfg = write_json(tmp_path / "c.json", {"gamma": 0})
         out = tmp_path / "solve.csv"
@@ -263,3 +275,46 @@ class TestCliCommands:
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])
         assert exc.value.code == 2
+
+
+def run_in_child(code, *args, timeout=60):
+    """Run Python code in a fresh interpreter that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, timeout=timeout,
+                          capture_output=True, text=True)
+
+
+class TestCliInAFreshProcess:
+    @pytest.mark.parametrize("command, settings", [
+        ("solve", {"refine_tol": 1e-20}),
+        ("design-backlash", {"refine_tol": 1e-20, "effort_max": 2.5}),
+    ])
+    def test_tolerance_below_float_spacing_terminates(self, tmp_path, command, settings):
+        # a bisection that waits for hi - lo <= 1e-20 never stops on its own;
+        # the timeout turns such a regression into a failure, not a hang
+        cfg = write_json(tmp_path / "c.json", settings)
+        code = "import sys; from regmdp.cli import run; sys.exit(run(sys.argv[1:]))"
+        done = run_in_child(code, command, "--config", cfg)
+        assert done.returncode == 0, done.stderr
+
+    def test_runs_without_scipy(self, tmp_path):
+        code = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None  # any import of scipy now raises\n"
+            "from regmdp.cli import run\n"
+            "codes = {c: run([c, '--out', f'{sys.argv[1]}/{c}.csv'])\n"
+            "         for c in ('welfare', 'solve', 'design-backlash')}\n"
+            "print(json.dumps(codes))\n"
+        )
+        done = run_in_child(code, str(tmp_path))
+        assert done.returncode == 0, done.stderr
+        codes = json.loads(done.stdout.splitlines()[-1])
+        assert codes == {"welfare": 0, "solve": 0, "design-backlash": 1}
+        for command in codes:
+            meta = json.loads((tmp_path / f"{command}.meta.json").read_text())
+            assert sorted(meta["versions"]) == ["numpy", "python", "regmdp"]
+
+    def test_import_leaves_scipy_unloaded(self):
+        done = run_in_child("import sys, regmdp.cli; print('scipy' in sys.modules)")
+        assert done.stdout.strip() == "False", done.stderr

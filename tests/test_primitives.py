@@ -191,7 +191,7 @@ class TestWelfareModel:
 
 class TestSociallyOptimalEffort:
     def test_canonical_interior_optimum(self, welfare):
-        e = socially_optimal_effort(welfare, tol=1e-10)
+        e = socially_optimal_effort(welfare)
         assert e == pytest.approx(E_STAR, abs=1e-9)
         assert welfare.marginal_welfare(e) == pytest.approx(0.0, abs=1e-8)
 
@@ -199,7 +199,7 @@ class TestSociallyOptimalEffort:
         assert socially_optimal_effort(welfare) == pytest.approx(E_STAR, abs=1e-6)
 
     def test_optimum_maximizes_on_a_fine_grid(self, welfare):
-        e = socially_optimal_effort(welfare, tol=1e-10)
+        e = socially_optimal_effort(welfare)
         grid = np.linspace(0.0, 1.0, 100001)
         best = grid[int(np.argmax(welfare.expected_welfare(grid)))]
         assert abs(e - best) <= 2e-5
@@ -217,7 +217,5 @@ class TestSociallyOptimalEffort:
         assert socially_optimal_effort(w) == 1.0
 
     def test_rejects_bad_tolerances(self, welfare):
-        with pytest.raises(DomainError):
-            socially_optimal_effort(welfare, tol=0.0)
         with pytest.raises(DomainError):
             socially_optimal_effort(welfare, e_max=0.0)

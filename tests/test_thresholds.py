@@ -24,6 +24,7 @@ from regmdp import (
     overreaction_gap,
     static_expected_utility,
     static_optimal_effort,
+    value_iteration,
 )
 
 E_STAR = 0.6284733737717892
@@ -126,6 +127,18 @@ class TestOptimalThreshold:
     def test_stable_effort_sits_strictly_below_the_backlash_level(self, mdp):
         assert optimal_threshold(mdp) < mdp.space.backlash_level
 
+    def test_harm_slope_that_underflows_matches_brute_force(self, space, actions, cost, drift):
+        # at k = 2000 the harm slope is exactly 0 at the top levels, where the
+        # hold margin used to divide by it
+        harm = HarmModel(0.1, 0.9, 2000.0)
+        assert harm.derivative(1.0) == 0.0
+        m = RegulationMdp(space, actions, harm, cost, drift, 0.9)
+        stable = optimal_threshold(m)
+        brute, _ = value_iteration(m)
+        expected = np.maximum(stable, m.space.levels)
+        assert np.max(np.abs(brute.efforts - expected)) <= 1e-3 + 1e-9
+        assert 0.0 < stable < 0.1
+
     def test_rejects_bad_refine_tol(self, mdp):
         with pytest.raises(DomainError):
             optimal_threshold(mdp, refine_tol=0.0)
@@ -193,18 +206,18 @@ class TestDesignBacklash:
 
 
 class TestImpossibility:
-    def test_canonical_two_cost_sweep(self, harm, drift):
+    def test_canonical_two_cost_sweep(self, harm):
         report = impossibility_report(
-            harm, 2.0, CostModel(0.5, 0.1), CostModel(0.2, 0.05), 0.9, drift
+            harm, 2.0, CostModel(0.5, 0.1), CostModel(0.2, 0.05), 0.9
         )
         assert report.e_star_1 == pytest.approx(E_STAR, abs=1e-9)
         assert report.e_star_2 == pytest.approx(E_STAR_2, abs=1e-9)
         assert not report.degenerate
         assert report.conclusion
 
-    def test_rows_tabulate_compliance_and_losses(self, harm, drift):
+    def test_rows_tabulate_compliance_and_losses(self, harm):
         report = impossibility_report(
-            harm, 2.0, CostModel(0.5, 0.1), CostModel(0.2, 0.05), 0.9, drift
+            harm, 2.0, CostModel(0.5, 0.1), CostModel(0.2, 0.05), 0.9
         )
         rows = report.records()
         assert len(rows) == 1003  # 1001 uniform candidates plus both optima
@@ -220,12 +233,12 @@ class TestImpossibility:
         assert at_opt_1["welfare_loss_1"] == pytest.approx(0.0, abs=1e-12)
         assert at_opt_1["gap_to_optimum_2"] == pytest.approx(E_STAR - E_STAR_2, abs=1e-9)
 
-    def test_identical_costs_are_flagged_degenerate(self, harm, cost, drift):
-        report = impossibility_report(harm, 2.0, cost, cost, 0.9, drift)
+    def test_identical_costs_are_flagged_degenerate(self, harm, cost):
+        report = impossibility_report(harm, 2.0, cost, cost, 0.9)
         assert report.degenerate
         assert not report.conclusion
         assert any(r["attains_both"] for r in report.records())
 
-    def test_rejects_bad_gamma(self, harm, cost, drift):
+    def test_rejects_bad_gamma(self, harm, cost):
         with pytest.raises(DomainError):
-            impossibility_report(harm, 2.0, cost, CostModel(0.2, 0.05), 1.0, drift)
+            impossibility_report(harm, 2.0, cost, CostModel(0.2, 0.05), 1.0)
