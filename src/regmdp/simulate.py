@@ -1,10 +1,14 @@
 """Seeded Monte Carlo rollouts of the required-effort process.
 
 Randomness comes from counter-based Philox generators keyed by explicit seed
-material, so single trajectories replay byte-identically and batched estimates
-aggregate the same way regardless of scheduling.
+material, so single trajectories replay byte-identically. Batched estimates
+run their batches on up to one thread per available CPU; each batch writes its
+own slice of one returns array, so an estimate is bit-identical whatever the
+thread count.
 """
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -125,31 +129,67 @@ def minimal_horizon(mdp: RegulationMdp, max_bias: float) -> int:
     return max(1, int(np.ceil(np.log(ratio) / np.log(mdp.gamma))))
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on macOS or Windows
+        return os.cpu_count() or 1
+
+
+class _Scratch:
+    """Arrays one worker reuses for every batch it runs."""
+
+    def __init__(self, size: int):
+        self.uniforms = np.empty(2 * size)
+        self.probs = np.empty(size)
+        self.harmed = np.empty(size, dtype=bool)
+        self.drifted = np.empty(size, dtype=bool)
+        self.state = np.empty(size, dtype=np.intp)
+
+
 def _batch_returns(
-    mdp: RegulationMdp,
-    policy: Policy,
-    start_index: int,
-    n: int,
-    horizon: int,
+    total: np.ndarray,
     rng: np.random.Generator,
-) -> np.ndarray:
-    top = mdp.space.backlash_index
-    harm_by_state = np.asarray(mdp.harm.prob(policy.efforts))
-    reward_by_state = -np.asarray(mdp.cost.value(policy.efforts))
-    g = mdp.drift.probs
-    down = np.maximum(np.arange(mdp.space.n_states) - 1, 0)
-    state = np.full(n, start_index, dtype=np.intp)
-    total = np.zeros(n)
+    scratch: _Scratch,
+    start_index: int,
+    horizon: int,
+    gamma: float,
+    harm_by_state: np.ndarray,
+    reward_by_state: np.ndarray,
+    drift: np.ndarray,
+) -> None:
+    """Write the discounted returns of len(total) episodes into total.
+
+    Each step draws 2n uniforms into scratch, harm from the first n and drift
+    from the rest: the same draws in the same order as two random(n) calls.
+    Every array operation writes into scratch, so a step allocates nothing.
+    """
+    n = total.size
+    top = harm_by_state.size - 1  # the backlash state
+    uniforms = scratch.uniforms[: 2 * n]
+    u_harm, u_drift = uniforms[:n], uniforms[n:]
+    p, harmed, drifted, state = (
+        scratch.probs[:n], scratch.harmed[:n], scratch.drifted[:n], scratch.state[:n]
+    )
+    state.fill(start_index)
+    total.fill(0.0)
     disc = 1.0
     for _ in range(horizon):
-        total += disc * reward_by_state[state]
-        harmed = rng.random(n) < harm_by_state[state]
-        drifted = rng.random(n) < g[state]
-        state = np.where(harmed, top, np.where(drifted, down[state], state))
-        disc *= mdp.gamma
+        # mode="clip" keeps take from buffering its output; indices are in range
+        np.take(reward_by_state, state, out=p, mode="clip")
+        p *= disc
+        total += p
+        rng.random(out=uniforms)
+        np.take(harm_by_state, state, out=p, mode="clip")
+        np.less(u_harm, p, out=harmed)
+        np.take(drift, state, out=p, mode="clip")
+        np.less(u_drift, p, out=drifted)
+        state -= drifted  # drift[0] == 0, so the bottom state never drifts
+        np.copyto(state, top, where=harmed)
+        disc *= gamma
         if disc == 0.0:
             break
-    return total
 
 
 def estimate_value(
@@ -164,8 +204,11 @@ def estimate_value(
     """Monte Carlo estimate of a policy's value from one start state.
 
     Episodes run in fixed-size batches, each on its own Philox stream derived
-    from (seed, batch index), so the estimate does not depend on how batches
-    are scheduled. A horizon of None picks the shortest one meeting the
+    from (seed, batch index). The batches run at the same time on the calling
+    thread plus one helper thread per further CPU in the process's affinity
+    set, never more threads than batches; the estimate is bit-identical
+    whatever the thread count. An error in any batch is raised here once every
+    thread has stopped. A horizon of None picks the shortest one meeting the
     truncation-bias target; an explicit horizon that misses the target raises
     and names the minimal admissible one.
     """
@@ -182,15 +225,38 @@ def estimate_value(
             horizon, minimal_horizon(mdp, max_truncation_bias), bound, max_truncation_bias
         )
     start = mdp.space.backlash_index if start_level is None else mdp.space.index_of(start_level)
-    chunks = []
-    done = 0
-    batch = 0
-    while done < n_episodes:
-        n = min(_BATCH, n_episodes - done)
-        chunks.append(_batch_returns(mdp, policy, start, n, horizon, _episode_rng(seed, (batch,))))
-        done += n
-        batch += 1
-    returns = np.concatenate(chunks)
+    harm_by_state = np.asarray(mdp.harm.prob(policy.efforts))
+    reward_by_state = -np.asarray(mdp.cost.value(policy.efforts))
+    n_batches = -(-n_episodes // _BATCH)
+    workers = min(_available_cpus(), n_batches)
+    returns = np.empty(n_episodes)
+    failures = []
+
+    def run(first: int) -> None:
+        try:
+            scratch = _Scratch(min(_BATCH, n_episodes))
+            for batch in range(first, n_batches, workers):
+                if failures:
+                    return
+                lo = batch * _BATCH
+                _batch_returns(
+                    returns[lo : lo + _BATCH], _episode_rng(seed, (batch,)), scratch, start,
+                    horizon, mdp.gamma, harm_by_state, reward_by_state, mdp.drift.probs,
+                )
+        except Exception as err:  # re-raised by the caller once every worker has stopped
+            failures.append(err)
+
+    helpers = [threading.Thread(target=run, args=(k,)) for k in range(1, workers)]
+    try:
+        for helper in helpers:
+            helper.start()
+        run(0)
+    finally:
+        for helper in helpers:
+            if helper.is_alive():
+                helper.join()
+    if failures:
+        raise failures[0]
     mean = float(returns.mean())
     sd = float(returns.std(ddof=1))
     half_width = _Z_95 * sd / np.sqrt(n_episodes)

@@ -282,6 +282,15 @@ def design_backlash(
 
     achieved = optimal_threshold(probe_mdp(e_h), refine_tol)
     if abs(achieved - e_star) > 2.0 * action_step:
+        if tol > action_step:
+            # a bracket wider than the action grid's step can leave the level
+            # far enough off to move the stable effort by several steps
+            raise DomainError(
+                f"design tolerance {tol:g} (refine_tol in a config) is coarser than the "
+                f"action step {action_step:g}: the backlash level {e_h:.6g} it allows "
+                f"yields stable effort {achieved:.6g}, off the target {e_star:.6g} by more "
+                f"than two action steps; use a refine_tol of at most {action_step:g}"
+            )
         raise RuntimeError(
             f"designed backlash level {e_h:.6g} yields stable effort {achieved:.6g}, "
             f"off the target {e_star:.6g} by more than two action steps"

@@ -215,6 +215,16 @@ class TestCliCommands:
         assert abs(float(row["achieved_threshold"]) - float(row["target_effort"])) <= 2e-3
         assert row["degenerate"] == "False"
 
+    @pytest.mark.parametrize("refine_tol, code", [(0.1, 2), (0.05, 0)])
+    def test_design_backlash_with_a_coarse_refine_tol(self, tmp_path, capsys, refine_tol, code):
+        # at 0.1 the bisection leaves a level whose stable effort misses the
+        # target by more than two action steps: an input error, not a crash
+        cfg = write_json(tmp_path / "c.json", {"effort_max": 2.5, "refine_tol": refine_tol})
+        out = tmp_path / "design.csv"
+        assert run(["design-backlash", "--config", cfg, "--out", str(out)]) == code
+        if code == 2:
+            assert "refine_tol" in capsys.readouterr().err
+
     def test_design_backlash_zero_damage_is_degenerate(self, tmp_path):
         cfg = write_json(tmp_path / "c.json", {"damage": 0})
         out = tmp_path / "design.csv"

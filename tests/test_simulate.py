@@ -1,8 +1,12 @@
 """Seeded rollouts and Monte Carlo value estimation."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from regmdp import simulate
 from regmdp import (
     DomainError,
     DriftModel,
@@ -10,6 +14,7 @@ from regmdp import (
     HorizonTooShortError,
     Policy,
     RegulationMdp,
+    ValueEstimate,
     estimate_value,
     evaluate_policy,
     minimal_horizon,
@@ -106,6 +111,109 @@ class TestHorizons:
         assert "149" in str(exc.value)
 
 
+def reference_estimate(mdp, policy, n_episodes, horizon, seed, start_index=None):
+    """estimate_value written serially from the model definition.
+
+    Batch b of 8192 episodes draws from its own Philox stream keyed by
+    (seed, b). Every step adds the discounted reward, draws random(n) for harm
+    and then random(n) for drift, and moves each episode to the top state on
+    harm, one state down on drift, and nowhere otherwise.
+    """
+    top = mdp.space.backlash_index
+    start = top if start_index is None else start_index
+    harm = np.asarray(mdp.harm.prob(policy.efforts))
+    reward = -np.asarray(mdp.cost.value(policy.efforts))
+    g = mdp.drift.probs
+    down = np.maximum(np.arange(mdp.space.n_states) - 1, 0)
+    chunks = []
+    for batch, done in enumerate(range(0, n_episodes, 8192)):
+        n = min(8192, n_episodes - done)
+        rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(seed, spawn_key=(batch,)))
+        )
+        state = np.full(n, start)
+        total = np.zeros(n)
+        disc = 1.0
+        for _ in range(horizon):
+            total += disc * reward[state]
+            harmed = rng.random(n) < harm[state]
+            drifted = rng.random(n) < g[state]
+            state = np.where(harmed, top, np.where(drifted, down[state], state))
+            disc *= mdp.gamma
+        chunks.append(total)
+    returns = np.concatenate(chunks)
+    sd = float(returns.std(ddof=1))
+    half_width = 1.959963984540054 * sd / np.sqrt(n_episodes)
+    return ValueEstimate(
+        float(returns.mean()), float(half_width), truncation_bound(mdp, horizon), horizon
+    )
+
+
+@pytest.fixture(params=[None, 1, 8], ids=["machine-cpus", "one-cpu", "eight-cpus"])
+def cpus(request, monkeypatch):
+    """The CPU count estimate_value sees: the machine's, or forced."""
+    if request.param is not None:
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: request.param)
+    return request.param
+
+
+class TestBitIdentity:
+    """estimate_value equals the serial reference exactly, whatever the thread count."""
+
+    @pytest.mark.parametrize("n_episodes", [2, 8191, 8192, 8193, 3 * 8192 + 5])
+    def test_matches_the_serial_reference(self, mdp, cpus, n_episodes):
+        pol = Policy.threshold(mdp.space, 0.45)
+        est = estimate_value(mdp, pol, n_episodes=n_episodes, seed=17)
+        assert est == reference_estimate(mdp, pol, n_episodes, est.horizon, seed=17)
+
+    def test_from_the_bottom_state(self, mdp, cpus):
+        pol = Policy.threshold(mdp.space, 0.45)
+        est = estimate_value(mdp, pol, start_level=0.0, n_episodes=2 * 8192 + 1, seed=3)
+        assert est == reference_estimate(mdp, pol, 2 * 8192 + 1, est.horizon, 3, start_index=0)
+
+    def test_when_the_discount_underflows(self, mdp, cpus):
+        # gamma**k reaches the subnormals and then 0 well inside the horizon,
+        # where the batches stop early; the reference runs every step
+        tiny = RegulationMdp(mdp.space, mdp.actions, mdp.harm, mdp.cost, mdp.drift, 1e-5)
+        pol = Policy.threshold(tiny.space, 0.45)
+        est = estimate_value(tiny, pol, n_episodes=8192 + 7, horizon=80, seed=5)
+        assert est == reference_estimate(tiny, pol, 8192 + 7, 80, seed=5)
+
+    def test_more_threads_than_cores_under_fast_switching(self, mdp, monkeypatch):
+        # a lost or misplaced slice write would change the mean
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: 6)
+        pol = Policy.threshold(mdp.space, 0.45)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            est = estimate_value(mdp, pol, n_episodes=5 * 8192 + 3, seed=29)
+        finally:
+            sys.setswitchinterval(interval)
+        assert est == reference_estimate(mdp, pol, 5 * 8192 + 3, est.horizon, seed=29)
+
+
+class TestWorkerFailures:
+    @pytest.mark.parametrize("failing_thread", ["helper", "caller"])
+    def test_an_error_in_any_batch_reaches_the_caller(self, mdp, monkeypatch, failing_thread):
+        # with two workers the caller runs batches 0 and 2 and the helper
+        # runs batch 1
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: 2)
+        real = simulate._batch_returns
+
+        def failing(total, *args):
+            in_helper = threading.current_thread() is not threading.main_thread()
+            if in_helper == (failing_thread == "helper"):
+                raise FloatingPointError(f"batch failed in the {failing_thread}")
+            real(total, *args)
+
+        monkeypatch.setattr(simulate, "_batch_returns", failing)
+        before = threading.active_count()
+        pol = Policy.threshold(mdp.space, 0.45)
+        with pytest.raises(FloatingPointError, match=failing_thread):
+            estimate_value(mdp, pol, n_episodes=3 * 8192, seed=1)
+        assert threading.active_count() == before
+
+
 class TestEstimateValue:
     def test_deterministic_given_seed(self, mdp):
         pol = Policy.threshold(mdp.space, 0.45)
@@ -124,6 +232,18 @@ class TestEstimateValue:
         exact = evaluate_policy(mdp, pol)[0]
         est = estimate_value(mdp, pol, start_level=0.0, n_episodes=60000, seed=12)
         assert abs(est.mean - exact) <= est.half_width_95 + est.truncation_bound
+
+    def test_interval_covers_the_exact_value_at_its_nominal_rate(self, mdp):
+        # 400 seeds of 100 episodes from the backlash state: the 95% interval
+        # plus the truncation bound must cover the exact value in
+        # 0.95 +- 4 binomial standard deviations (0.022) of the runs
+        pol = Policy.threshold(mdp.space, 0.45)
+        exact = evaluate_policy(mdp, pol).at_backlash
+        covered = 0
+        for seed in range(400):
+            est = estimate_value(mdp, pol, n_episodes=100, seed=seed)
+            covered += abs(est.mean - exact) <= est.half_width_95 + est.truncation_bound
+        assert 0.906 <= covered / 400 <= 0.994
 
     def test_myopic_estimate_is_exact(self, mdp, cost):
         m0 = RegulationMdp(mdp.space, mdp.actions, mdp.harm, mdp.cost, mdp.drift, 0.0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from regmdp import thresholds
 from regmdp import (
     ConstructionError,
     CostModel,
@@ -198,6 +199,18 @@ class TestDesignBacklash:
         for gamma in (0.0, 1.0):
             with pytest.raises(DomainError):
                 design_backlash(welfare, gamma, space, drift)
+
+    @pytest.mark.parametrize("tol, error", [(0.1, DomainError), (1e-6, RuntimeError)])
+    def test_a_missed_target_blames_only_a_coarse_tolerance(
+        self, welfare, drift, monkeypatch, tol, error
+    ):
+        # force the re-solve off target: only a tolerance wider than the
+        # action step is the caller's doing
+        monkeypatch.setattr(thresholds, "optimal_threshold", lambda mdp, refine_tol: 0.5)
+        template = build_state_space(0.0, 2.5, 11, 1.0)
+        with pytest.raises(error) as exc:
+            design_backlash(welfare, 0.9, template, drift, tol, e_max=2.5)
+        assert ("refine_tol" in str(exc.value)) == (error is DomainError)
 
     def test_rejects_template_at_the_ceiling(self, welfare, drift):
         template = build_state_space(0.0, 1.0, 11, 1.0)
