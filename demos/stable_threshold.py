@@ -46,13 +46,14 @@ sweep = [evaluate_threshold_policy(mdp, float(t)).values[0] for t in actions.eff
 best = float(actions.efforts[int(np.argmax(sweep))])
 print(f"\nbrute-force best threshold = {best:.6f} (matches to grid resolution)")
 
-_, vi_values = value_iteration(mdp, tol=1e-12)
-gap = float(np.max(np.abs(vi_values.values - values.values)))
-print(f"value iteration agrees with the threshold policy to {gap:.2e}")
+# independent check: policy iteration over every grid effort in every state
+_, pi_values = value_iteration(mdp)
+gap = float(np.max(np.abs(pi_values.values - values.values)))
+print(f"policy iteration agrees with the threshold policy to {gap:.2e}")
 
 welfare = WelfareModel(harm, cost, damage=2.0)
 e_star = socially_optimal_effort(welfare)
-g = overreaction_gap(mdp, welfare, refine_tol=1e-6)
+g = overreaction_gap(mdp, welfare)
 print(f"\nsocially optimal effort e* = {e_star:.6f}")
 print(f"overreaction gap e^ - e*   = {g:+.6f}")
 print("negative: this backlash level is too soft and the platform under-complies")

@@ -294,7 +294,10 @@ def _cmd_simulate(config: Config):
         z = (estimate.mean - analytic) / se
     else:
         z = 0.0 if error <= estimate.truncation_bound + 1e-15 else np.inf
-    within = error <= estimate.half_width_95 + estimate.truncation_bound
+    # a sum of `horizon` rounded rewards may be off by horizon ulps, and the
+    # mean and the solve by a few more: only error beyond that and the bias counts
+    excess = max(0.0, error - estimate.truncation_bound
+                 - (estimate.horizon + 4) * np.spacing(abs(analytic)))
     rows = [
         {
             "episodes": config["episodes"],
@@ -306,12 +309,12 @@ def _cmd_simulate(config: Config):
             "analytic_value": analytic,
             "abs_error": error,
             "z_score": float(z),
-            "within_bound": within,
+            "within_bound": excess <= estimate.half_width_95,
         }
     ]
     results = dict(rows[0], stable_effort=stable, seed=config["seed"])
-    # a 95 percent miss is routine; only an implausible z-score fails the run
-    return rows, None, results, 0 if abs(z) <= 4.0 else 1
+    # a 95 percent miss is routine; only an excess beyond 4 standard errors fails the run
+    return rows, None, results, 0 if excess <= 4.0 * se else 1
 
 
 def _cmd_verify(config: Config, episodes_overridden: bool):

@@ -127,10 +127,13 @@ def _validate(settings: dict) -> list:
     gamma = num("gamma")
     if gamma is not None and not 0 <= gamma < 1:
         problems.append(f"gamma must lie in [0, 1), got {gamma!r}")
-    for key in ("drift", "audit_prob", "fail_p0"):
+    for key in ("drift", "audit_prob"):
         v = num(key)
         if v is not None and not 0 <= v <= 1:
             problems.append(f"{key} must lie in [0, 1], got {v!r}")
+    p0 = num("fail_p0")
+    if p0 is not None and not 0 < p0 <= 1:
+        problems.append(f"fail_p0 must lie in (0, 1], got {p0!r}")
     count = num("state_count")
     if count is not None and count == int(count) and count < 2:
         problems.append(f"state_count must be at least 2, got {int(count)}")

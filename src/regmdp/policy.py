@@ -2,8 +2,8 @@
 
 Values come from solving the linear fixed point v = r + gamma * P v directly,
 so every value function returned here carries linear-algebra noise only.
-Value iteration is retained purely as an independent optimality oracle for
-cross-checks; nothing else depends on it.
+Policy iteration over the full action grid is retained purely as an
+independent optimality oracle for cross-checks; nothing else depends on it.
 
 All functions are pure functions of immutable inputs, so sweeps over policies
 or thresholds may run concurrently without coordination.
@@ -17,7 +17,8 @@ from .errors import DomainError, FeasibilityError
 from .mdp import Policy, RegulationMdp, StateSpace
 
 BELLMAN_RESIDUAL_TOL = 1e-10
-_ITERATION_CAP = 10**6
+_IMPROVEMENT_TOL = 1e-9  # a smaller one-step gain is rounding, not an improvement
+_IMPROVEMENT_STEPS = 100  # policy iteration's guard; it settles in a handful
 _SHARED_VALUE_TOL = 1e-9
 
 
@@ -120,61 +121,48 @@ def evaluate_threshold_policy(mdp: RegulationMdp, tau: float) -> ValueFunction:
     return vf
 
 
-def _action_value_table(mdp: RegulationMdp, v: np.ndarray) -> np.ndarray:
-    """(n_states, n_actions) one-step lookahead values given state values v."""
+def _greedy(mdp: RegulationMdp, v: np.ndarray):
+    """Best feasible grid effort per state against state values v, and its value."""
     acts = mdp.actions.efforts
     h = np.asarray(mdp.harm.prob(acts))
     c = np.asarray(mdp.cost.value(acts))
     g = mdp.drift.probs
-    down = np.empty_like(v)
-    down[0] = v[0]
-    down[1:] = v[:-1]
-    d = g * down + (1.0 - g) * v
-    return -c[None, :] + mdp.gamma * (h[None, :] * v[-1] + (1.0 - h)[None, :] * d[:, None])
+    d = g * np.append(v[:1], v[:-1]) + (1.0 - g) * v  # the bottom state cannot drift
+    q = -c[None, :] + mdp.gamma * (h[None, :] * v[-1] + (1.0 - h)[None, :] * d[:, None])
+    q[acts[None, :] < mdp.space.levels[:, None] - 1e-12] = -np.inf  # below the requirement
+    best = np.argmax(q, axis=1)  # the first maximizer: ties go to the lowest effort
+    return acts[best], q[np.arange(v.size), best]
 
 
-def _feasible_mask(mdp: RegulationMdp) -> np.ndarray:
-    return mdp.actions.efforts[None, :] >= mdp.space.levels[:, None] - 1e-12
+def value_iteration(mdp: RegulationMdp):
+    """Brute-force optimal policy over the full action grid, by policy iteration.
 
-
-def value_iteration(mdp: RegulationMdp, tol: float = 1e-10):
-    """Brute-force optimal policy over the action grid.
-
-    Sweeps the Bellman optimality operator until the sup-norm residual drops
-    to tol, then extracts the greedy policy (ties broken toward the lowest
-    effort) and returns it with its exactly evaluated value function.
+    From exact compliance, evaluates the policy exactly and switches every
+    state whose greedy gain exceeds 1e-9, until none does; returns the greedy
+    policy at the final values (ties go to the lowest effort) with its exact
+    value function. It assumes no threshold shape, so it can check the solver.
     """
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    mask = _feasible_mask(mdp)
-    v = np.zeros(mdp.space.n_states)
-    for _ in range(_ITERATION_CAP):
-        v_new = np.where(mask, _action_value_table(mdp, v), -np.inf).max(axis=1)
-        if float(np.max(np.abs(v_new - v))) <= tol:
-            v = v_new
-            break
-        v = v_new
-    else:
-        raise RuntimeError(f"value iteration failed to converge within {_ITERATION_CAP} sweeps")
-    q = np.where(mask, _action_value_table(mdp, v), -np.inf)
-    # argmax takes the first maximizer, i.e. the lowest tied effort
-    greedy = Policy(mdp.space, mdp.actions.efforts[np.argmax(q, axis=1)])
-    return greedy, evaluate_policy(mdp, greedy)
+    policy = Policy.comply(mdp.space)
+    for _ in range(_IMPROVEMENT_STEPS):
+        vf = evaluate_policy(mdp, policy)
+        efforts, best = _greedy(mdp, vf.values)
+        improves = best - vf.values > _IMPROVEMENT_TOL
+        if not improves.any():
+            greedy = Policy(mdp.space, efforts)
+            return greedy, evaluate_policy(mdp, greedy)
+        policy = Policy(mdp.space, np.where(improves, efforts, policy.efforts))
+    raise RuntimeError(f"policy iteration still improving after {_IMPROVEMENT_STEPS} steps")
 
 
-def policy_improvement_check(mdp: RegulationMdp, policy: Policy, tol: float = 1e-9):
+def policy_improvement_check(mdp: RegulationMdp, policy: Policy):
     """States where some feasible action beats the policy's own value.
 
     Returns (state level, best improving effort, gain) for every state with a
-    one-step improvement above tol. An empty list certifies the policy is
-    unimprovable at that tolerance.
+    one-step improvement above 1e-9, the gain policy iteration acts on. An
+    empty list certifies the policy is unimprovable at that tolerance.
     """
     vf = evaluate_policy(mdp, policy)
-    q = np.where(_feasible_mask(mdp), _action_value_table(mdp, vf.values), -np.inf)
-    gains = q - vf.values[:, None]
-    out = []
-    for i in range(mdp.space.n_states):
-        j = int(np.argmax(gains[i]))
-        if gains[i, j] > tol:
-            out.append((float(mdp.space.levels[i]), float(mdp.actions.efforts[j]), float(gains[i, j])))
-    return out
+    efforts, best = _greedy(mdp, vf.values)
+    gains = best - vf.values
+    return [(float(lv), float(e), float(gain))
+            for lv, e, gain in zip(mdp.space.levels, efforts, gains) if gain > _IMPROVEMENT_TOL]

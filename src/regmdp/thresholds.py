@@ -160,7 +160,7 @@ def optimal_threshold(mdp: RegulationMdp, refine_tol: float = 1e-6) -> float:
     return _bisect(lambda e: _hold_margin(mdp, e) >= 0.0, lo, hi, refine_tol)
 
 
-def overreaction_gap(mdp: RegulationMdp, welfare: WelfareModel, refine_tol: float = 1e-6) -> float:
+def overreaction_gap(mdp: RegulationMdp, welfare: WelfareModel) -> float:
     """Stable effort minus the socially optimal effort.
 
     A weak backlash level (at or below the social optimum) can never close
@@ -168,7 +168,7 @@ def overreaction_gap(mdp: RegulationMdp, welfare: WelfareModel, refine_tol: floa
     stable effort falls strictly short. That sign is re-checked on every call.
     """
     e_star = socially_optimal_effort(welfare, e_max=mdp.actions.e_max)
-    stable = optimal_threshold(mdp, refine_tol)
+    stable = optimal_threshold(mdp)
     gap = stable - e_star
     if mdp.space.backlash_level <= e_star + 1e-12 and not gap < 0:
         raise RuntimeError(
@@ -212,7 +212,6 @@ def design_backlash(
     *,
     e_max: float = 1.0,
     action_step: float = 1e-3,
-    refine_tol: float = 1e-6,
 ) -> BacklashDesign:
     """Pick the backlash level that makes the socially optimal effort stable.
 
@@ -256,7 +255,7 @@ def design_backlash(
         # result, and leave achieved_threshold as information only; the
         # template's fixed levels alone may force over-compliance here.
         e_h = min(float(lower[-1]) + max(tol, action_step), e_max)
-        achieved = optimal_threshold(probe_mdp(e_h), refine_tol)
+        achieved = optimal_threshold(probe_mdp(e_h))
         return BacklashDesign(e_star, e_h, achieved, math.nan, degenerate=True)
 
     k_constant = _design_constant(welfare, gamma, e_star)
@@ -280,8 +279,14 @@ def design_backlash(
     e_h = _bisect(lambda e: probe_gap(e) <= 0.0, lo, e_max, tol)
     residual = probe_gap(e_h)
 
-    achieved = optimal_threshold(probe_mdp(e_h), refine_tol)
+    achieved = optimal_threshold(probe_mdp(e_h))
     if abs(achieved - e_star) > 2.0 * action_step:
+        if lower[0] > e_star:
+            raise ConstructionError(
+                f"the template's fixed levels start at {lower[0]:.6g}, above the target "
+                f"{e_star:.6g}, so no state can hold it; the designed backlash level "
+                f"{e_h:.6g} yields stable effort {achieved:.6g}"
+            )
         if tol > action_step:
             # a bracket wider than the action grid's step can leave the level
             # far enough off to move the stable effort by several steps

@@ -116,7 +116,7 @@ def random_mdp(
 def threshold_matches_brute_force(
     n_scenarios: int = 20, seed: int = 101, action_step: float = 1e-3
 ) -> SuiteResult:
-    """The threshold policy at the stable effort matches value iteration.
+    """The threshold policy at the stable effort matches policy iteration.
 
     Agreement means every state's brute-force optimal action is within one
     action-grid step of max(stable effort, required level).

@@ -2,7 +2,7 @@
 
 Each test runs one randomized verification suite at full size and prints a
 single PASS/FAIL line (visible with pytest -s or on failure). The suites run
-against independent oracles: brute-force value iteration, direct linear
+against independent oracles: brute-force policy iteration, direct linear
 algebra, central differences, grid search, and Monte Carlo sampling.
 """
 

@@ -225,6 +225,21 @@ class TestCliCommands:
         if code == 2:
             assert "refine_tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("state_min, code", [(0.65, 0), (0.67, 0), (0.69, 1), (0.7, 1), (0.9, 1)])
+    def test_design_backlash_with_a_high_template(self, tmp_path, capsys, state_min, code):
+        # from 0.69 up, every fixed level sits above the target 0.628, so no
+        # state can hold it: a failed design, not an internal error
+        cfg = write_json(tmp_path / "c.json", {"state_min": state_min, "effort_max": 2.5})
+        out = tmp_path / "design.csv"
+        assert run(["design-backlash", "--config", cfg, "--out", str(out)]) == code
+        meta = json.loads((tmp_path / "design.meta.json").read_text())
+        assert meta["results"]["feasible"] is (code == 0)
+        if code == 0:
+            row = next(csv.DictReader(io.StringIO(out.read_text())))
+            assert abs(float(row["achieved_threshold"]) - float(row["target_effort"])) <= 2e-3
+        else:
+            assert "fixed levels start at" in capsys.readouterr().err
+
     def test_design_backlash_zero_damage_is_degenerate(self, tmp_path):
         cfg = write_json(tmp_path / "c.json", {"damage": 0})
         out = tmp_path / "design.csv"
@@ -243,6 +258,12 @@ class TestCliCommands:
         meta = json.loads((tmp_path / "static.meta.json").read_text())
         assert meta["results"]["requirement_is_a_cap"] is True
 
+    def test_static_rejects_a_zero_failure_probability(self, tmp_path, capsys):
+        # the step family needs p0 in (0, 1], whichever family is configured
+        cfg = write_json(tmp_path / "c.json", {"fail_p0": 0, "fail_model": "ramp"})
+        assert run(["static", "--config", cfg]) == 2
+        assert "fail_p0" in capsys.readouterr().err
+
     def test_impossibility_reaches_its_conclusion(self, tmp_path):
         out = tmp_path / "imp.csv"
         assert run(["impossibility", "--out", str(out)]) == 0
@@ -257,6 +278,18 @@ class TestCliCommands:
         row = next(csv.DictReader(io.StringIO(out.read_text())))
         assert abs(float(row["z_score"])) <= 4.0
         assert int(row["episodes"]) == 20000
+
+    @pytest.mark.parametrize("settings", [
+        {"drift": 0}, {"gamma": 0}, {"drift": 0, "gamma": 0.5}, {"drift": 0, "gamma": 0.99},
+    ])
+    def test_simulate_accepts_a_chain_with_identical_episodes(self, tmp_path, settings):
+        # every episode returns the same value, so the only error left is the
+        # truncation bias plus rounding, which must not read as a failed check
+        cfg = write_json(tmp_path / "c.json", settings)
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--config", cfg, "--episodes", "2000", "--out", str(out)]) == 0
+        row = next(csv.DictReader(io.StringIO(out.read_text())))
+        assert row["within_bound"] == "True"
 
     def test_simulate_rejects_short_horizons(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "c.json", {"horizon": 5, "episodes": 100})

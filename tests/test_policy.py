@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import regmdp.policy as policy_module
 from regmdp import (
     DomainError,
     Policy,
@@ -11,6 +12,7 @@ from regmdp import (
     continuation_value,
     evaluate_policy,
     evaluate_threshold_policy,
+    load_config,
     policy_improvement_check,
     q_value,
     value_iteration,
@@ -145,15 +147,25 @@ class TestValueIteration:
         expected = np.maximum(stable, mdp.space.levels)
         assert np.max(np.abs(policy.efforts - expected)) <= mdp.actions.step + 1e-9
 
-    def test_rejects_bad_tolerance(self, mdp):
-        with pytest.raises(DomainError):
-            value_iteration(mdp, tol=0.0)
+    @pytest.mark.filterwarnings("ignore:backlash design is infeasible")
+    def test_matches_the_threshold_solver_at_201_states_and_gamma_0999(self):
+        # the edge of the validated space that a 1/(1 - gamma)-sweep oracle
+        # could not reach: one action step of agreement in every state
+        mdp = load_config(None, {"state_count": 201, "gamma": 0.999}).mdp()
+        policy, _ = value_iteration(mdp)
+        expected = np.maximum(optimal_threshold(mdp), mdp.space.levels)
+        assert np.max(np.abs(policy.efforts - expected)) <= mdp.actions.step + 1e-9
+
+    def test_guard_names_the_stage(self, mdp, monkeypatch):
+        monkeypatch.setattr(policy_module, "_IMPROVEMENT_STEPS", 1)
+        with pytest.raises(RuntimeError, match="policy iteration"):
+            value_iteration(mdp)
 
 
 class TestPolicyImprovement:
     def test_brute_force_optimum_is_unimprovable(self, mdp):
         policy, _ = value_iteration(mdp)
-        assert policy_improvement_check(mdp, policy, tol=1e-8) == []
+        assert policy_improvement_check(mdp, policy) == []
 
     def test_exact_compliance_is_improvable_when_patient(self, mdp):
         gains = policy_improvement_check(mdp, Policy.comply(mdp.space))

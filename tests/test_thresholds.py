@@ -206,7 +206,7 @@ class TestDesignBacklash:
     ):
         # force the re-solve off target: only a tolerance wider than the
         # action step is the caller's doing
-        monkeypatch.setattr(thresholds, "optimal_threshold", lambda mdp, refine_tol: 0.5)
+        monkeypatch.setattr(thresholds, "optimal_threshold", lambda mdp: 0.5)
         template = build_state_space(0.0, 2.5, 11, 1.0)
         with pytest.raises(error) as exc:
             design_backlash(welfare, 0.9, template, drift, tol, e_max=2.5)
