@@ -289,15 +289,15 @@ def _cmd_simulate(config: Config):
     )
     analytic = float(evaluate_policy(mdp, policy)[mdp.space.index_of(start_level)])
     error = abs(estimate.mean - analytic)
-    se = estimate.half_width_95 / _Z_95
-    if se > 0:
-        z = (estimate.mean - analytic) / se
-    else:
-        z = 0.0 if error <= estimate.truncation_bound + 1e-15 else np.inf
     # a sum of `horizon` rounded rewards may be off by horizon ulps, and the
     # mean and the solve by a few more: only error beyond that and the bias counts
     excess = max(0.0, error - estimate.truncation_bound
                  - (estimate.horizon + 4) * np.spacing(abs(analytic)))
+    se = estimate.half_width_95 / _Z_95
+    if excess == 0.0:
+        z = 0.0
+    else:
+        z = float(np.copysign(excess / se if se > 0 else np.inf, estimate.mean - analytic))
     rows = [
         {
             "episodes": config["episodes"],
@@ -308,13 +308,13 @@ def _cmd_simulate(config: Config):
             "truncation_bound": estimate.truncation_bound,
             "analytic_value": analytic,
             "abs_error": error,
-            "z_score": float(z),
+            "z_score": z,
             "within_bound": excess <= estimate.half_width_95,
         }
     ]
     results = dict(rows[0], stable_effort=stable, seed=config["seed"])
     # a 95 percent miss is routine; only an excess beyond 4 standard errors fails the run
-    return rows, None, results, 0 if excess <= 4.0 * se else 1
+    return rows, None, results, 0 if abs(z) <= 4.0 else 1
 
 
 def _cmd_verify(config: Config, episodes_overridden: bool):

@@ -1,10 +1,16 @@
 """Seeded Monte Carlo rollouts of the required-effort process.
 
 Randomness comes from counter-based Philox generators keyed by explicit seed
-material, so single trajectories replay byte-identically. Batched estimates
-run their batches on up to one thread per available CPU; each batch writes its
-own slice of one returns array, so an estimate is bit-identical whatever the
-thread count.
+material, so single trajectories replay byte-identically.
+
+Two implementations of the same transition law live here on purpose.
+`sample_trajectory` follows the model's definition step by step: one draw
+decides harm and, without harm, a second draw decides drift. The batched
+estimator `estimate_value` draws one uniform per episode and step and picks
+the next state by inverse transform (harm, one state down, or stay), which
+halves the generator work. Its batches run on up to one thread per available
+CPU; each batch writes its own slice of one returns array, so an estimate is
+bit-identical whatever the thread count.
 """
 
 import os
@@ -72,14 +78,19 @@ def sample_trajectory(
 
     The default start is the backlash level, the worst place to wake up in.
     Two calls with the same arguments replay the identical trajectory.
+
+    Each step draws sequentially from the definition: one uniform for harm
+    and, only without harm and with a positive drift probability, a second
+    one for drift. This is deliberately not the one-uniform inverse transform
+    of `estimate_value`, so the two serve as independent implementations of
+    the transition law.
     """
     seed = _check_seed(seed)
     if horizon < 1:
         raise DomainError(f"horizon must be at least 1, got {horizon}")
     s = mdp.space.backlash_index if start_level is None else mdp.space.index_of(start_level)
     rng = _episode_rng(seed)
-    harm_by_state = np.asarray(mdp.harm.prob(policy.efforts))
-    reward_by_state = -np.asarray(mdp.cost.value(policy.efforts))
+    harm_by_state, reward_by_state, _ = _step_tables(mdp, policy)
     g = mdp.drift.probs
     steps = []
     total = 0.0
@@ -137,14 +148,21 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _step_tables(mdp: RegulationMdp, policy: Policy):
+    """Per-state harm probability h, reward, and move probability h + (1 - h) * g."""
+    harm_by_state = np.asarray(mdp.harm.prob(policy.efforts))
+    reward_by_state = -np.asarray(mdp.cost.value(policy.efforts))
+    return harm_by_state, reward_by_state, harm_by_state + (1.0 - harm_by_state) * mdp.drift.probs
+
+
 class _Scratch:
-    """Arrays one worker reuses for every batch it runs."""
+    """Arrays one worker reuses for every batch it runs: one uniform per episode."""
 
     def __init__(self, size: int):
-        self.uniforms = np.empty(2 * size)
+        self.uniforms = np.empty(size)
         self.probs = np.empty(size)
         self.harmed = np.empty(size, dtype=bool)
-        self.drifted = np.empty(size, dtype=bool)
+        self.moved = np.empty(size, dtype=bool)
         self.state = np.empty(size, dtype=np.intp)
 
 
@@ -157,35 +175,39 @@ def _batch_returns(
     gamma: float,
     harm_by_state: np.ndarray,
     reward_by_state: np.ndarray,
-    drift: np.ndarray,
+    move_by_state: np.ndarray,
 ) -> None:
     """Write the discounted returns of len(total) episodes into total.
 
-    Each step draws 2n uniforms into scratch, harm from the first n and drift
-    from the rest: the same draws in the same order as two random(n) calls.
-    Every array operation writes into scratch, so a step allocates nothing.
+    Each step draws one uniform u per episode and samples the next state by
+    inverse transform: harm (to the top state) if u < h[s], else one state
+    down if u < m[s], else stay, where m = h + (1 - h) * g is the
+    probability of harm or drift. Each step scales the small per-state reward
+    table by the discount and then gathers from it, which gives the same
+    products as scaling after the gather. Every array operation writes into
+    preallocated arrays, so a step allocates nothing.
     """
     n = total.size
     top = harm_by_state.size - 1  # the backlash state
-    uniforms = scratch.uniforms[: 2 * n]
-    u_harm, u_drift = uniforms[:n], uniforms[n:]
-    p, harmed, drifted, state = (
-        scratch.probs[:n], scratch.harmed[:n], scratch.drifted[:n], scratch.state[:n]
+    u, p, harmed, moved, state = (
+        scratch.uniforms[:n], scratch.probs[:n], scratch.harmed[:n],
+        scratch.moved[:n], scratch.state[:n],
     )
+    discounted = np.empty_like(reward_by_state)
     state.fill(start_index)
     total.fill(0.0)
     disc = 1.0
     for _ in range(horizon):
+        np.multiply(reward_by_state, disc, out=discounted)
         # mode="clip" keeps take from buffering its output; indices are in range
-        np.take(reward_by_state, state, out=p, mode="clip")
-        p *= disc
+        np.take(discounted, state, out=p, mode="clip")
         total += p
-        rng.random(out=uniforms)
+        rng.random(out=u)
         np.take(harm_by_state, state, out=p, mode="clip")
-        np.less(u_harm, p, out=harmed)
-        np.take(drift, state, out=p, mode="clip")
-        np.less(u_drift, p, out=drifted)
-        state -= drifted  # drift[0] == 0, so the bottom state never drifts
+        np.less(u, p, out=harmed)
+        np.take(move_by_state, state, out=p, mode="clip")
+        np.less(u, p, out=moved)
+        state -= moved  # m[0] == h[0], so the bottom state never moves down
         np.copyto(state, top, where=harmed)
         disc *= gamma
         if disc == 0.0:
@@ -225,8 +247,7 @@ def estimate_value(
             horizon, minimal_horizon(mdp, max_truncation_bias), bound, max_truncation_bias
         )
     start = mdp.space.backlash_index if start_level is None else mdp.space.index_of(start_level)
-    harm_by_state = np.asarray(mdp.harm.prob(policy.efforts))
-    reward_by_state = -np.asarray(mdp.cost.value(policy.efforts))
+    tables = _step_tables(mdp, policy)
     n_batches = -(-n_episodes // _BATCH)
     workers = min(_available_cpus(), n_batches)
     returns = np.empty(n_episodes)
@@ -241,7 +262,7 @@ def estimate_value(
                 lo = batch * _BATCH
                 _batch_returns(
                     returns[lo : lo + _BATCH], _episode_rng(seed, (batch,)), scratch, start,
-                    horizon, mdp.gamma, harm_by_state, reward_by_state, mdp.drift.probs,
+                    horizon, mdp.gamma, *tables,
                 )
         except Exception as err:  # re-raised by the caller once every worker has stopped
             failures.append(err)

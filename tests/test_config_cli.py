@@ -290,6 +290,8 @@ class TestCliCommands:
         assert run(["simulate", "--config", cfg, "--episodes", "2000", "--out", str(out)]) == 0
         row = next(csv.DictReader(io.StringIO(out.read_text())))
         assert row["within_bound"] == "True"
+        z = float(row["z_score"])
+        assert np.isfinite(z) and abs(z) <= 4.0
 
     def test_simulate_rejects_short_horizons(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "c.json", {"horizon": 5, "episodes": 100})

@@ -112,18 +112,18 @@ class TestHorizons:
 
 
 def reference_estimate(mdp, policy, n_episodes, horizon, seed, start_index=None):
-    """estimate_value written serially from the model definition.
+    """estimate_value written serially from the one-uniform definition.
 
     Batch b of 8192 episodes draws from its own Philox stream keyed by
-    (seed, b). Every step adds the discounted reward, draws random(n) for harm
-    and then random(n) for drift, and moves each episode to the top state on
-    harm, one state down on drift, and nowhere otherwise.
+    (seed, b). Every step adds the discounted reward, draws random(n) once,
+    and moves each episode to the top state if u < h, one state down if
+    u < h + (1 - h) * g, and nowhere otherwise.
     """
     top = mdp.space.backlash_index
     start = top if start_index is None else start_index
     harm = np.asarray(mdp.harm.prob(policy.efforts))
     reward = -np.asarray(mdp.cost.value(policy.efforts))
-    g = mdp.drift.probs
+    move = harm + (1.0 - harm) * mdp.drift.probs
     down = np.maximum(np.arange(mdp.space.n_states) - 1, 0)
     chunks = []
     for batch, done in enumerate(range(0, n_episodes, 8192)):
@@ -136,9 +136,8 @@ def reference_estimate(mdp, policy, n_episodes, horizon, seed, start_index=None)
         disc = 1.0
         for _ in range(horizon):
             total += disc * reward[state]
-            harmed = rng.random(n) < harm[state]
-            drifted = rng.random(n) < g[state]
-            state = np.where(harmed, top, np.where(drifted, down[state], state))
+            u = rng.random(n)
+            state = np.where(u < harm[state], top, np.where(u < move[state], down[state], state))
             disc *= mdp.gamma
         chunks.append(total)
     returns = np.concatenate(chunks)
@@ -190,6 +189,36 @@ class TestBitIdentity:
         finally:
             sys.setswitchinterval(interval)
         assert est == reference_estimate(mdp, pol, 5 * 8192 + 3, est.horizon, seed=29)
+
+
+class TestTransitionLaw:
+    @pytest.mark.parametrize("drift_p", [None, 1.0, 0.0], ids=["canonical", "drift-1", "drift-0"])
+    def test_one_step_matches_the_transition_distribution(self, mdp, drift_p):
+        # under comply every state has its own reward, so a two-step return
+        # r[s] + gamma * r[s'] names the state s' each episode moved to
+        if drift_p is not None:
+            drift = DriftModel.constant(drift_p, mdp.space.n_states)
+            mdp = RegulationMdp(mdp.space, mdp.actions, mdp.harm, mdp.cost, drift, mdp.gamma)
+        pol = Policy.comply(mdp.space)
+        harm, reward, move = simulate._step_tables(mdp, pol)
+        n = 100_000
+        total = np.empty(n)
+        scratch = simulate._Scratch(n)
+        for start in range(mdp.space.n_states):
+            simulate._batch_returns(
+                total, simulate._episode_rng(41, (start,)), scratch, start, 2, mdp.gamma,
+                harm, reward, move,
+            )
+            candidates = reward[start] + mdp.gamma * reward
+            assert np.unique(candidates).size == candidates.size
+            counts = np.array([np.count_nonzero(total == c) for c in candidates])
+            assert counts.sum() == n
+            expected = np.zeros(mdp.space.n_states)
+            e_c = mdp.space.levels[start]
+            for level, prob in mdp.transition_distribution(e_c, pol.efforts[start]):
+                expected[mdp.space.index_of(level)] = prob
+            se = np.sqrt(expected * (1.0 - expected) / n)
+            assert np.all(np.abs(counts / n - expected) <= 5.0 * se), (start, counts, expected)
 
 
 class TestWorkerFailures:
