@@ -30,7 +30,6 @@ DEFAULTS = {
     "drift": 0.3,
     "action_step": 0.001,
     "refine_tol": 1e-6,
-    "value_tol": 1e-10,
     "seed": 42,
     "audit_prob": 0.5,
     "fine": 10.0,
@@ -47,7 +46,7 @@ DEFAULTS = {
 _INT_KEYS = {"state_count", "seed", "static_draws", "episodes", "horizon", "verify_scenarios"}
 _POSITIVE = {
     "k", "cost_a", "cost_b", "cost_a2", "cost_b2", "backlash_effort",
-    "effort_max", "action_step", "refine_tol", "value_tol", "fine", "fail_beta",
+    "effort_max", "action_step", "refine_tol", "fine", "fail_beta",
 }
 _NONNEGATIVE = {"damage", "state_min", "drift", "audit_prob"}
 

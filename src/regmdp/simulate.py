@@ -8,9 +8,12 @@ Two implementations of the same transition law live here on purpose.
 decides harm and, without harm, a second draw decides drift. The batched
 estimator `estimate_value` draws one uniform per episode and step and picks
 the next state by inverse transform (harm, one state down, or stay), which
-halves the generator work. Its batches run on up to one thread per available
-CPU; each batch writes its own slice of one returns array, so an estimate is
-bit-identical whatever the thread count.
+halves the generator work. Its 8192-episode batches each draw from their own
+Philox stream. They run on up to one thread per available CPU, each thread
+taking a contiguous share of the batches and advancing up to three of them
+per array pass, so each NumPy call covers more work between hand-offs of the
+interpreter lock. Each batch writes its own slice of one returns array, so an
+estimate is bit-identical whatever the thread count.
 """
 
 import os
@@ -24,7 +27,8 @@ from .errors import DomainError, HorizonTooShortError
 from .mdp import Policy, RegulationMdp
 
 _Z_95 = 1.959963984540054  # two-sided 95% normal quantile
-_BATCH = 8192
+_BATCH = 8192  # episodes per Philox stream
+_SPAN = 3  # consecutive batches that each array pass advances together
 
 
 class TrajectoryStep(NamedTuple):
@@ -156,19 +160,23 @@ def _step_tables(mdp: RegulationMdp, policy: Policy):
 
 
 class _Scratch:
-    """Arrays one worker reuses for every batch it runs: one uniform per episode."""
+    """Arrays one worker reuses for every span it runs, 26 bytes per episode.
+
+    A worker sizes them for one span of at most _SPAN batches, so its memory
+    stays flat in the episode count.
+    """
 
     def __init__(self, size: int):
         self.uniforms = np.empty(size)
         self.probs = np.empty(size)
-        self.harmed = np.empty(size, dtype=bool)
+        self.kept = np.empty(size, dtype=bool)
         self.moved = np.empty(size, dtype=bool)
-        self.state = np.empty(size, dtype=np.intp)
+        self.depth = np.empty(size, dtype=np.intp)
 
 
 def _batch_returns(
     total: np.ndarray,
-    rng: np.random.Generator,
+    rngs: list,
     scratch: _Scratch,
     start_index: int,
     horizon: int,
@@ -179,36 +187,45 @@ def _batch_returns(
 ) -> None:
     """Write the discounted returns of len(total) episodes into total.
 
-    Each step draws one uniform u per episode and samples the next state by
-    inverse transform: harm (to the top state) if u < h[s], else one state
-    down if u < m[s], else stay, where m = h + (1 - h) * g is the
-    probability of harm or drift. Each step scales the small per-state reward
-    table by the discount and then gathers from it, which gives the same
-    products as scaling after the gather. Every array operation writes into
-    preallocated arrays, so a step allocates nothing.
+    Episodes k * _BATCH up to (k + 1) * _BATCH draw from rngs[k]. Each step
+    fills their uniforms with one random() call per generator, in order, and
+    every other pass then runs once over all the episodes, so a wider call
+    hands the interpreter lock over less often and draws the same numbers.
+
+    The next state is sampled by inverse transform: harm (to the top state)
+    if u < h[s], else one state down if u < m[s], else stay, where
+    m = h + (1 - h) * g is the probability of harm or drift. A state is held
+    as its depth below the top state, over reversed tables, so moving down
+    adds 1 and the harm reset multiplies by (u >= h), with no mask. Each step
+    scales the small per-state reward table by the discount and then gathers
+    from it, which gives the same products as scaling after the gather.
+    Every array operation writes into preallocated arrays, so a step
+    allocates nothing.
     """
     n = total.size
-    top = harm_by_state.size - 1  # the backlash state
-    u, p, harmed, moved, state = (
-        scratch.uniforms[:n], scratch.probs[:n], scratch.harmed[:n],
-        scratch.moved[:n], scratch.state[:n],
+    u, p, kept, moved, depth = (
+        scratch.uniforms[:n], scratch.probs[:n], scratch.kept[:n],
+        scratch.moved[:n], scratch.depth[:n],
     )
-    discounted = np.empty_like(reward_by_state)
-    state.fill(start_index)
+    draws = [u[k * _BATCH : (k + 1) * _BATCH] for k in range(len(rngs))]
+    harm, reward, move = (t[::-1].copy() for t in (harm_by_state, reward_by_state, move_by_state))
+    discounted = np.empty_like(reward)
+    depth.fill(harm.size - 1 - start_index)
     total.fill(0.0)
     disc = 1.0
     for _ in range(horizon):
-        np.multiply(reward_by_state, disc, out=discounted)
+        np.multiply(reward, disc, out=discounted)
         # mode="clip" keeps take from buffering its output; indices are in range
-        np.take(discounted, state, out=p, mode="clip")
+        np.take(discounted, depth, out=p, mode="clip")
         total += p
-        rng.random(out=u)
-        np.take(harm_by_state, state, out=p, mode="clip")
-        np.less(u, p, out=harmed)
-        np.take(move_by_state, state, out=p, mode="clip")
+        for rng, out in zip(rngs, draws):
+            rng.random(out=out)
+        np.take(harm, depth, out=p, mode="clip")
+        np.greater_equal(u, p, out=kept)
+        np.take(move, depth, out=p, mode="clip")
         np.less(u, p, out=moved)
-        state -= moved  # m[0] == h[0], so the bottom state never moves down
-        np.copyto(state, top, where=harmed)
+        depth += moved  # m[0] == h[0], so the bottom state never moves down
+        depth *= kept  # harm resets to the top state, depth 0
         disc *= gamma
         if disc == 0.0:
             break
@@ -228,8 +245,10 @@ def estimate_value(
     Episodes run in fixed-size batches, each on its own Philox stream derived
     from (seed, batch index). The batches run at the same time on the calling
     thread plus one helper thread per further CPU in the process's affinity
-    set, never more threads than batches; the estimate is bit-identical
-    whatever the thread count. An error in any batch is raised here once every
+    set, never more threads than batches. Thread w of W takes the contiguous
+    batches [w * nb // W, (w + 1) * nb // W) and runs them in spans of up to
+    _SPAN, one _batch_returns call per span; the estimate is bit-identical
+    whatever the thread count. An error in any span is raised here once every
     thread has stopped. A horizon of None picks the shortest one meeting the
     truncation-bias target; an explicit horizon that misses the target raises
     and names the minimal admissible one.
@@ -253,15 +272,17 @@ def estimate_value(
     returns = np.empty(n_episodes)
     failures = []
 
-    def run(first: int) -> None:
+    def run(worker: int) -> None:
         try:
-            scratch = _Scratch(min(_BATCH, n_episodes))
-            for batch in range(first, n_batches, workers):
+            scratch = _Scratch(min(_SPAN * _BATCH, n_episodes))
+            last = (worker + 1) * n_batches // workers
+            for first in range(worker * n_batches // workers, last, _SPAN):
                 if failures:
                     return
-                lo = batch * _BATCH
+                span = range(first, min(first + _SPAN, last))
                 _batch_returns(
-                    returns[lo : lo + _BATCH], _episode_rng(seed, (batch,)), scratch, start,
+                    returns[first * _BATCH : span.stop * _BATCH],
+                    [_episode_rng(seed, (batch,)) for batch in span], scratch, start,
                     horizon, mdp.gamma, *tables,
                 )
         except Exception as err:  # re-raised by the caller once every worker has stopped

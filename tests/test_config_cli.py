@@ -310,6 +310,12 @@ class TestCliCommands:
         assert run(["solve", "--config", cfg]) == 2
         assert "gamma" in capsys.readouterr().err
 
+    def test_removed_value_tol_is_an_unknown_key(self, tmp_path, capsys):
+        # nothing ever read value_tol, so a config that still sets it fails loudly
+        cfg = write_json(tmp_path / "c.json", {"value_tol": 1e-10})
+        assert run(["solve", "--config", cfg]) == 2
+        assert "unknown key: value_tol" in capsys.readouterr().err
+
     def test_seed_override_lands_in_the_meta(self, tmp_path):
         out = tmp_path / "w.csv"
         assert run(["welfare", "--out", str(out), "--seed", "7"]) == 0

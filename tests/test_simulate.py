@@ -148,7 +148,7 @@ def reference_estimate(mdp, policy, n_episodes, horizon, seed, start_index=None)
     )
 
 
-@pytest.fixture(params=[None, 1, 8], ids=["machine-cpus", "one-cpu", "eight-cpus"])
+@pytest.fixture(params=[None, 1, 2, 8], ids=["machine-cpus", "one-cpu", "two-cpus", "eight-cpus"])
 def cpus(request, monkeypatch):
     """The CPU count estimate_value sees: the machine's, or forced."""
     if request.param is not None:
@@ -159,7 +159,9 @@ def cpus(request, monkeypatch):
 class TestBitIdentity:
     """estimate_value equals the serial reference exactly, whatever the thread count."""
 
-    @pytest.mark.parametrize("n_episodes", [2, 8191, 8192, 8193, 3 * 8192 + 5])
+    @pytest.mark.parametrize(
+        "n_episodes", [2, 8191, 8192, 8193, 3 * 8192 + 5, 7 * 8192 + 1, 100_000]
+    )
     def test_matches_the_serial_reference(self, mdp, cpus, n_episodes):
         pol = Policy.threshold(mdp.space, 0.45)
         est = estimate_value(mdp, pol, n_episodes=n_episodes, seed=17)
@@ -191,6 +193,26 @@ class TestBitIdentity:
         assert est == reference_estimate(mdp, pol, 5 * 8192 + 3, est.horizon, seed=29)
 
 
+class TestFlatMemory:
+    def test_scratch_never_exceeds_one_span(self, mdp, monkeypatch):
+        # each worker sizes its scratch for one span of three batches, however
+        # many episodes it runs
+        sizes = []
+
+        class Recording(simulate._Scratch):
+            def __init__(self, size):
+                sizes.append(size)
+                super().__init__(size)
+
+        monkeypatch.setattr(simulate, "_Scratch", Recording)
+        pol = Policy.threshold(mdp.space, 0.45)
+        for cpus in (1, 2):
+            monkeypatch.setattr(simulate, "_available_cpus", lambda: cpus)
+            estimate_value(mdp, pol, n_episodes=40 * 8192 + 3, seed=2)
+        assert len(sizes) == 3
+        assert all(size <= 3 * 8192 for size in sizes)
+
+
 class TestTransitionLaw:
     @pytest.mark.parametrize("drift_p", [None, 1.0, 0.0], ids=["canonical", "drift-1", "drift-0"])
     def test_one_step_matches_the_transition_distribution(self, mdp, drift_p):
@@ -205,9 +227,10 @@ class TestTransitionLaw:
         total = np.empty(n)
         scratch = simulate._Scratch(n)
         for start in range(mdp.space.n_states):
+            # one generator per 8192-episode slice, as estimate_value passes them
+            rngs = [simulate._episode_rng(41, (start, k)) for k in range(-(-n // 8192))]
             simulate._batch_returns(
-                total, simulate._episode_rng(41, (start,)), scratch, start, 2, mdp.gamma,
-                harm, reward, move,
+                total, rngs, scratch, start, 2, mdp.gamma, harm, reward, move,
             )
             candidates = reward[start] + mdp.gamma * reward
             assert np.unique(candidates).size == candidates.size
@@ -224,8 +247,8 @@ class TestTransitionLaw:
 class TestWorkerFailures:
     @pytest.mark.parametrize("failing_thread", ["helper", "caller"])
     def test_an_error_in_any_batch_reaches_the_caller(self, mdp, monkeypatch, failing_thread):
-        # with two workers the caller runs batches 0 and 2 and the helper
-        # runs batch 1
+        # with two workers the shares are contiguous: the caller runs batch 0
+        # and the helper runs batches 1 and 2 as one span
         monkeypatch.setattr(simulate, "_available_cpus", lambda: 2)
         real = simulate._batch_returns
 
