@@ -28,7 +28,6 @@ from .mdp import (
     build_state_space,
 )
 from .policy import (
-    BELLMAN_RESIDUAL_TOL,
     ValueFunction,
     continuation_value,
     evaluate_policy,
@@ -73,7 +72,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActionGrid",
-    "BELLMAN_RESIDUAL_TOL",
     "BacklashDesign",
     "Config",
     "ConfigError",

@@ -17,7 +17,6 @@ import platform
 import sys
 import time
 import traceback
-import warnings
 
 import numpy as np
 
@@ -382,13 +381,7 @@ def run(argv: list | None = None) -> int:
     if args.episodes is not None:
         overrides["episodes"] = args.episodes
     try:
-        with warnings.catch_warnings():
-            if args.command != "design-backlash":
-                warnings.filterwarnings(
-                    "ignore", message="backlash design is infeasible",
-                    category=RuntimeWarning,
-                )
-            config = load_config(args.config, overrides)
+        config = load_config(args.config, overrides)
         started = time.perf_counter()
         if args.command == "verify":
             rows, fields, results, code = _cmd_verify(config, args.episodes is not None)

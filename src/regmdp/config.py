@@ -6,12 +6,11 @@ reports all problems.
 """
 
 import json
-import warnings
 
 from .errors import ConfigError
 from .mdp import RegulationMdp, StateSpace, build_action_grid, build_state_space
-from .primitives import CostModel, DriftModel, HarmModel, WelfareModel, socially_optimal_effort
-from .thresholds import RampAuditFailure, StaticRegime, StepAuditFailure, _design_constant
+from .primitives import CostModel, DriftModel, HarmModel, WelfareModel
+from .thresholds import RampAuditFailure, StaticRegime, StepAuditFailure
 
 DEFAULTS = {
     "h_min": 0.1,
@@ -187,23 +186,4 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Confi
 
     for key in _INT_KEYS:
         settings[key] = int(settings[key])
-    config = Config(settings)
-
-    # an unreachable design target is legal but worth flagging early
-    gamma = config["gamma"]
-    if 0 < gamma < 1:
-        welfare = config.welfare()
-        e_star = socially_optimal_effort(welfare, e_max=config["effort_max"])
-        if e_star > 1e-12:
-            needed = _design_constant(welfare, gamma, e_star)
-            ceiling = welfare.cost.value(config["effort_max"]) / (1.0 - gamma)
-            if needed > ceiling:
-                warnings.warn(
-                    "backlash design is infeasible at this effort ceiling: "
-                    f"the target requires {needed:.6g} but the ceiling caps "
-                    f"lifetime cost at {ceiling:.6g}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-    return config
-
+    return Config(settings)

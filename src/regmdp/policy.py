@@ -16,10 +16,8 @@ import numpy as np
 from .errors import DomainError, FeasibilityError
 from .mdp import Policy, RegulationMdp, StateSpace
 
-BELLMAN_RESIDUAL_TOL = 1e-10
 _IMPROVEMENT_TOL = 1e-9  # a smaller one-step gain is rounding, not an improvement
 _IMPROVEMENT_STEPS = 100  # policy iteration's guard; it settles in a handful
-_SHARED_VALUE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,35 +51,57 @@ def _require_same_space(mdp: RegulationMdp, space: StateSpace):
         raise FeasibilityError("policy and MDP are defined on different state spaces")
 
 
+def _residual_bound(mdp: RegulationMdp, scale: float) -> float:
+    """Largest Bellman residual a dense solve may leave: (3n + 4) ulps of scale.
+
+    scale bounds max|v|, so u * max|v| is at most one ulp of it (u the unit
+    roundoff). An LU solve's backward error leaves a residual of about
+    n * u * ||I - gamma P|| * max|v|, and the row sums give ||I - gamma P|| <= 2:
+    2n ulps. Recomputing r + gamma P v to measure it adds n ulps for the
+    n-term products and a few for the sums: n + 4.
+    """
+    return (3 * mdp.space.n_states + 4) * float(np.spacing(scale))
+
+
 def evaluate_policy(mdp: RegulationMdp, policy: Policy) -> ValueFunction:
     """Exact discounted value of a stationary policy.
 
     Solves (I - gamma * P) v = r and refuses to return anything whose Bellman
-    residual exceeds 1e-10 in any state.
+    residual in any state exceeds (3n + 4) ulps of the value scale
+    cost(e_max) / (1 - gamma), the rounding a dense solve may leave.
     """
     _require_same_space(mdp, policy.space)
     r = -np.asarray(mdp.cost.value(policy.efforts))
     p = mdp.transition_matrix(policy.efforts)
     n = mdp.space.n_states
     v = np.linalg.solve(np.eye(n) - mdp.gamma * p, r)
-    residual = float(np.max(np.abs(v - (r + mdp.gamma * (p @ v)))))
-    if residual > BELLMAN_RESIDUAL_TOL:
-        raise RuntimeError(f"policy evaluation left a Bellman residual of {residual:.3g}")
     floor = -float(mdp.cost.value(mdp.actions.e_max))
     if mdp.gamma > 0:
         floor /= 1.0 - mdp.gamma
+    residual = float(np.max(np.abs(v - (r + mdp.gamma * (p @ v)))))
+    if residual > _residual_bound(mdp, abs(floor)):
+        raise RuntimeError(f"policy evaluation left a Bellman residual of {residual:.3g}")
     if v.min() < floor - 1e-8 * (1.0 + abs(floor)) or v.max() > 1e-10:
         raise RuntimeError("policy value escaped the feasible reward range")
     return ValueFunction(mdp.space, v)
 
 
+def _lookahead(mdp: RegulationMdp, v: np.ndarray, i, e):
+    """One-step lookahead from state index i playing effort e, against values v.
+
+    Returns (q, d): d = g v[i-1] + (1 - g) v[i] is the expected next value when
+    no harm occurs, and q = -c(e) + gamma (h(e) v_B + (1 - h(e)) d). Broadcasts
+    over i and e; g[0] = 0, so d is exactly v[0] in the bottom state.
+    """
+    g = mdp.drift.probs[i]
+    d = g * v[np.maximum(i - 1, 0)] + (1.0 - g) * v[i]
+    h = mdp.harm.prob(e)  # also rejects negative effort
+    return -mdp.cost.value(e) + mdp.gamma * (h * v[-1] + (1.0 - h) * d), d
+
+
 def continuation_value(mdp: RegulationMdp, vfun: ValueFunction, e_c: float) -> float:
     """Expected next-state value at state e_c conditional on no harm event."""
-    i = mdp.space.index_of(e_c)
-    if i == 0:
-        return vfun[0]
-    g = mdp.drift.prob(i)
-    return g * vfun[i - 1] + (1.0 - g) * vfun[i]
+    return float(_lookahead(mdp, vfun.values, mdp.space.index_of(e_c), e_c)[1])
 
 
 def q_value(mdp: RegulationMdp, vfun: ValueFunction, e_c: float, e: float) -> float:
@@ -92,9 +112,7 @@ def q_value(mdp: RegulationMdp, vfun: ValueFunction, e_c: float, e: float) -> fl
     """
     if e < e_c - 1e-12:
         raise FeasibilityError(f"effort {e} falls below the required level {e_c}")
-    h = float(mdp.harm.prob(e))  # also rejects negative effort
-    d = continuation_value(mdp, vfun, e_c)
-    return float(-mdp.cost.value(e) + mdp.gamma * (h * vfun.at_backlash + (1.0 - h) * d))
+    return float(_lookahead(mdp, vfun.values, mdp.space.index_of(e_c), e)[0])
 
 
 def evaluate_threshold_policy(mdp: RegulationMdp, tau: float) -> ValueFunction:
@@ -103,7 +121,7 @@ def evaluate_threshold_policy(mdp: RegulationMdp, tau: float) -> ValueFunction:
     Every state at or below tau plays tau itself and, because a harm event
     lands in the same place regardless of where it happened, all of those
     states must share a single value. That structure is asserted after the
-    solve (tolerance 1e-9) as a standing consistency check.
+    solve as a standing consistency check, to the spread that rounding allows.
     """
     if not 0.0 <= tau <= mdp.space.backlash_level + 1e-12:
         raise DomainError(
@@ -113,7 +131,12 @@ def evaluate_threshold_policy(mdp: RegulationMdp, tau: float) -> ValueFunction:
     held = mdp.space.levels <= tau
     if np.any(held):
         spread = float(np.ptp(vf.values[held]))
-        if spread > _SHARED_VALUE_TOL:
+        # the held rows give x_i = v_i - v_0 the recursion
+        # (1 - gamma (1 - h)(1 - g)) x_i = gamma (1 - h) g x_{i-1} + rho_i - rho_0,
+        # so residuals rho within R keep the spread within 2R / (1 - gamma);
+        # R is taken in ulps of max|v|, at most |floor| and cheaper to get
+        scale = float(np.max(np.abs(vf.values)))
+        if spread > 2.0 * _residual_bound(mdp, scale) / (1.0 - mdp.gamma):
             raise RuntimeError(
                 f"states held at the threshold diverged by {spread:.3g}; "
                 "the transition structure is broken"
@@ -124,11 +147,7 @@ def evaluate_threshold_policy(mdp: RegulationMdp, tau: float) -> ValueFunction:
 def _greedy(mdp: RegulationMdp, v: np.ndarray):
     """Best feasible grid effort per state against state values v, and its value."""
     acts = mdp.actions.efforts
-    h = np.asarray(mdp.harm.prob(acts))
-    c = np.asarray(mdp.cost.value(acts))
-    g = mdp.drift.probs
-    d = g * np.append(v[:1], v[:-1]) + (1.0 - g) * v  # the bottom state cannot drift
-    q = -c[None, :] + mdp.gamma * (h[None, :] * v[-1] + (1.0 - h)[None, :] * d[:, None])
+    q, _ = _lookahead(mdp, v, np.arange(v.size)[:, None], acts)
     q[acts[None, :] < mdp.space.levels[:, None] - 1e-12] = -np.inf  # below the requirement
     best = np.argmax(q, axis=1)  # the first maximizer: ties go to the lowest effort
     return acts[best], q[np.arange(v.size), best]

@@ -28,7 +28,7 @@ def digest(case, workdir):
     config, command = case.split("/")
     out = pathlib.Path(workdir) / f"{config}-{command}.csv"
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the canonical design warning
+        warnings.simplefilter("error")  # a warning is a defect, not noise
         code = run([command, "--config", str(ROOT / "demos" / f"{config}.json"), "--out", str(out)])
     return {"exit_code": code, "csv_sha256": hashlib.sha256(out.read_bytes()).hexdigest()}
 

@@ -1,5 +1,7 @@
 """Exact evaluation, action values, and the brute-force optimality oracle."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from regmdp import (
     value_iteration,
 )
 from regmdp.thresholds import optimal_threshold
+
+DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
 
 
 def remake(mdp, gamma):
@@ -58,6 +62,23 @@ class TestEvaluatePolicy:
             v = evaluate_policy(remake(mdp, gamma), Policy.threshold(mdp.space, 0.5))
             assert v.at_backlash < prev
             prev = v.at_backlash
+
+    @pytest.mark.parametrize("demo", ["canonical", "design_feasible"])
+    def test_rounding_bounds_are_no_looser_than_the_old_absolute_ones(self, demo):
+        # the residual bound and the held-state spread bound are ulps of a
+        # value scale at most |floor|; at the demos' scale they stay within
+        # the absolute 1e-10 and 1e-9 they replace
+        mdp = load_config(str(DEMOS / f"{demo}.json")).mdp()
+        scale = mdp.cost.value(mdp.actions.e_max) / (1.0 - mdp.gamma)
+        bound = policy_module._residual_bound(mdp, scale)
+        assert bound <= 1e-10
+        assert 2.0 * bound / (1.0 - mdp.gamma) <= 1e-9
+
+    def test_a_solve_off_by_more_than_rounding_is_refused(self, mdp, monkeypatch):
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-12))
+        with pytest.raises(RuntimeError, match="Bellman residual"):
+            evaluate_policy(mdp, Policy.comply(mdp.space))
 
     def test_value_function_shape_must_match(self, mdp):
         with pytest.raises(DomainError):
@@ -147,7 +168,6 @@ class TestValueIteration:
         expected = np.maximum(stable, mdp.space.levels)
         assert np.max(np.abs(policy.efforts - expected)) <= mdp.actions.step + 1e-9
 
-    @pytest.mark.filterwarnings("ignore:backlash design is infeasible")
     def test_matches_the_threshold_solver_at_201_states_and_gamma_0999(self):
         # the edge of the validated space that a 1/(1 - gamma)-sweep oracle
         # could not reach: one action step of agreement in every state
