@@ -48,6 +48,7 @@ from .simulate import (
     Trajectory,
     TrajectoryStep,
     ValueEstimate,
+    agreement_z,
     estimate_value,
     minimal_horizon,
     sample_trajectory,
@@ -99,6 +100,7 @@ __all__ = [
     "ValueEstimate",
     "ValueFunction",
     "WelfareModel",
+    "agreement_z",
     "build_action_grid",
     "build_state_space",
     "continuation_value",

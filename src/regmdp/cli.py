@@ -33,7 +33,7 @@ from .errors import (
 from .mdp import Policy, build_action_grid
 from .policy import evaluate_policy, evaluate_threshold_policy
 from .primitives import socially_optimal_effort
-from .simulate import _Z_95, estimate_value
+from .simulate import _Z_95, agreement_z, estimate_value
 from .thresholds import (
     RampAuditFailure,
     StaticRegime,
@@ -287,16 +287,7 @@ def _cmd_simulate(config: Config):
         n_episodes=config["episodes"], horizon=config["horizon"] or None, seed=config["seed"],
     )
     analytic = float(evaluate_policy(mdp, policy)[mdp.space.index_of(start_level)])
-    error = abs(estimate.mean - analytic)
-    # a sum of `horizon` rounded rewards may be off by horizon ulps, and the
-    # mean and the solve by a few more: only error beyond that and the bias counts
-    excess = max(0.0, error - estimate.truncation_bound
-                 - (estimate.horizon + 4) * np.spacing(abs(analytic)))
-    se = estimate.half_width_95 / _Z_95
-    if excess == 0.0:
-        z = 0.0
-    else:
-        z = float(np.copysign(excess / se if se > 0 else np.inf, estimate.mean - analytic))
+    z = agreement_z(estimate, analytic)
     rows = [
         {
             "episodes": config["episodes"],
@@ -306,9 +297,9 @@ def _cmd_simulate(config: Config):
             "half_width_95": estimate.half_width_95,
             "truncation_bound": estimate.truncation_bound,
             "analytic_value": analytic,
-            "abs_error": error,
+            "abs_error": abs(estimate.mean - analytic),
             "z_score": z,
-            "within_bound": excess <= estimate.half_width_95,
+            "within_bound": abs(z) <= _Z_95,
         }
     ]
     results = dict(rows[0], stable_effort=stable, seed=config["seed"])

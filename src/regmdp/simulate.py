@@ -1,7 +1,10 @@
 """Seeded Monte Carlo rollouts of the required-effort process.
 
-Randomness comes from counter-based Philox generators keyed by explicit seed
-material, so single trajectories replay byte-identically.
+Randomness comes from SFC64 generators keyed by explicit seed material, so
+single trajectories replay byte-identically. SFC64 is NumPy's fastest bit
+generator for 53-bit uniforms. Streams are told apart by SeedSequence spawn
+keys and never advanced or jumped, so a counter-based generator such as
+Philox would buy nothing here.
 
 Two implementations of the same transition law live here on purpose.
 `sample_trajectory` follows the model's definition step by step: one draw
@@ -9,7 +12,7 @@ decides harm and, without harm, a second draw decides drift. The batched
 estimator `estimate_value` draws one uniform per episode and step and picks
 the next state by inverse transform (harm, one state down, or stay), which
 halves the generator work. Its 8192-episode batches each draw from their own
-Philox stream. They run on up to one thread per available CPU, each thread
+SFC64 stream. They run on up to one thread per available CPU, each thread
 taking a contiguous share of the batches and advancing up to three of them
 per array pass, so each NumPy call covers more work between hand-offs of the
 interpreter lock. Each batch writes its own slice of one returns array, so an
@@ -27,7 +30,7 @@ from .errors import DomainError, HorizonTooShortError
 from .mdp import Policy, RegulationMdp
 
 _Z_95 = 1.959963984540054  # two-sided 95% normal quantile
-_BATCH = 8192  # episodes per Philox stream
+_BATCH = 8192  # episodes per SFC64 stream, keyed by (seed, batch index)
 _SPAN = 3  # consecutive batches that each array pass advances together
 
 
@@ -62,7 +65,7 @@ class Trajectory:
 
 
 def _episode_rng(seed: int, stream: tuple = ()) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=stream)))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=stream)))
 
 
 def _check_seed(seed: int) -> int:
@@ -133,8 +136,16 @@ def truncation_bound(mdp: RegulationMdp, horizon: int) -> float:
     return mdp.gamma**horizon * c_max / (1.0 - mdp.gamma)
 
 
+def _check_bias_target(name: str, value: float) -> None:
+    # "not >" so that NaN fails too; at 0 no horizon is long enough, and the
+    # logarithm in minimal_horizon would overflow
+    if not value > 0.0:
+        raise DomainError(f"{name} must be a positive truncation-bias target, got {value!r}")
+
+
 def minimal_horizon(mdp: RegulationMdp, max_bias: float) -> int:
-    """Shortest horizon whose truncation bound meets max_bias."""
+    """Shortest horizon whose truncation bound meets max_bias, which must be positive."""
+    _check_bias_target("max_bias", max_bias)
     if mdp.gamma == 0.0:
         return 1
     c_max = float(mdp.cost.value(mdp.actions.e_max))
@@ -242,20 +253,21 @@ def estimate_value(
 ) -> ValueEstimate:
     """Monte Carlo estimate of a policy's value from one start state.
 
-    Episodes run in fixed-size batches, each on its own Philox stream derived
-    from (seed, batch index). The batches run at the same time on the calling
-    thread plus one helper thread per further CPU in the process's affinity
-    set, never more threads than batches. Thread w of W takes the contiguous
+    Episodes run in fixed-size batches, each on its own SFC64 stream whose
+    SeedSequence is keyed by (seed, batch index). The batches run at the same
+    time on the calling thread plus one helper thread per further CPU in the
+    process's affinity set, never more threads than batches. Thread w of W takes the contiguous
     batches [w * nb // W, (w + 1) * nb // W) and runs them in spans of up to
     _SPAN, one _batch_returns call per span; the estimate is bit-identical
     whatever the thread count. An error in any span is raised here once every
     thread has stopped. A horizon of None picks the shortest one meeting the
-    truncation-bias target; an explicit horizon that misses the target raises
-    and names the minimal admissible one.
+    truncation-bias target, which must be positive; an explicit horizon that
+    misses the target raises and names the minimal admissible one.
     """
     seed = _check_seed(seed)
     if n_episodes < 2:
         raise DomainError(f"need at least 2 episodes for a confidence width, got {n_episodes}")
+    _check_bias_target("max_truncation_bias", max_truncation_bias)
     if horizon is None:
         horizon = minimal_horizon(mdp, max_truncation_bias)
     if horizon < 1:
@@ -303,3 +315,23 @@ def estimate_value(
     sd = float(returns.std(ddof=1))
     half_width = _Z_95 * sd / np.sqrt(n_episodes)
     return ValueEstimate(mean, float(half_width), float(bound), horizon)
+
+
+def agreement_z(estimate: ValueEstimate, exact: float) -> float:
+    """Signed standard errors by which an estimate misses the exact value.
+
+    Only the error beyond the truncation bound and (horizon + 4) ulps of the
+    exact value counts: a sum of `horizon` rounded rewards may be off by
+    horizon ulps, and the mean and the exact solve by a few more. The sign is
+    that of estimate - exact. With a zero standard error any excess reads
+    +-inf, and no excess reads 0. Under a correct sampler z is about standard
+    normal, so |z| > 1.96 in one run in twenty; a check that must not fail on
+    a correct stream asks for |z| <= 4.
+    """
+    error = abs(estimate.mean - exact)
+    excess = max(0.0, error - estimate.truncation_bound
+                 - (estimate.horizon + 4) * np.spacing(abs(exact)))
+    if excess == 0.0:
+        return 0.0
+    se = estimate.half_width_95 / _Z_95
+    return float(np.copysign(excess / se if se > 0 else np.inf, estimate.mean - exact))
