@@ -17,7 +17,6 @@ from .errors import (
     FeasibilityError,
     HorizonTooShortError,
     InsufficientMaxEffortError,
-    NoLowerStateError,
 )
 from .mdp import (
     ActionGrid,
@@ -29,7 +28,6 @@ from .mdp import (
 )
 from .policy import (
     ValueFunction,
-    continuation_value,
     evaluate_policy,
     evaluate_threshold_policy,
     policy_improvement_check,
@@ -40,7 +38,6 @@ from .primitives import (
     CostModel,
     DriftModel,
     HarmModel,
-    PiecewiseLinearHarm,
     WelfareModel,
     socially_optimal_effort,
 )
@@ -86,8 +83,6 @@ __all__ = [
     "HorizonTooShortError",
     "ImpossibilityReport",
     "InsufficientMaxEffortError",
-    "NoLowerStateError",
-    "PiecewiseLinearHarm",
     "Policy",
     "RampAuditFailure",
     "RegulationMdp",
@@ -103,7 +98,6 @@ __all__ = [
     "agreement_z",
     "build_action_grid",
     "build_state_space",
-    "continuation_value",
     "design_backlash",
     "estimate_value",
     "evaluate_policy",

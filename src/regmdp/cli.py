@@ -6,7 +6,9 @@ settings, library versions, and headline results so a run can be replayed
 byte-for-byte.
 
 Exit codes: 0 clean, 1 a verdict or feasibility check failed, 2 bad
-configuration or arguments, 3 unexpected internal error.
+configuration or arguments or an --out path that cannot be written,
+3 unexpected internal error. `simulate` and `verify` both run their Monte
+Carlo estimates at the configured `episodes`.
 """
 
 import argparse
@@ -168,7 +170,7 @@ def _cmd_solve(config: Config):
     rows = [
         {
             "state_effort": float(mdp.space.levels[i]),
-            "policy_effort": float(policy.effort_at(i)),
+            "policy_effort": float(policy.efforts[i]),
             "value": float(vf[i]),
         }
         for i in range(mdp.space.n_states)
@@ -307,11 +309,10 @@ def _cmd_simulate(config: Config):
     return rows, None, results, 0 if abs(z) <= 4.0 else 1
 
 
-def _cmd_verify(config: Config, episodes_overridden: bool):
-    mc_episodes = config["episodes"] if episodes_overridden else 20000
+def _cmd_verify(config: Config):
     suites = run_all(
         n_scenarios=config["verify_scenarios"], seed=config["seed"],
-        mc_episodes=mc_episodes,
+        mc_episodes=config["episodes"],
     )
     rows = []
     for suite in suites:
@@ -337,13 +338,15 @@ def _cmd_verify(config: Config, episodes_overridden: bool):
 # ---------------------------------------------------------------------------
 
 _COMMANDS = {
-    "welfare": "sweep welfare over effort and locate the social optimum",
-    "solve": "stable threshold effort and state values for the dynamic regime",
-    "design-backlash": "pick the backlash level that makes the optimum stable",
-    "static": "induced effort under audit-and-fine regulation, per requirement",
-    "impossibility": "show no single requirement serves two cost structures",
-    "simulate": "Monte Carlo check of the stable policy's value",
-    "verify": "run the randomized verification suites",
+    "welfare": (_cmd_welfare, "sweep welfare over effort and locate the social optimum"),
+    "solve": (_cmd_solve, "stable threshold effort and state values for the dynamic regime"),
+    "design-backlash": (_cmd_design_backlash,
+                        "pick the backlash level that makes the optimum stable"),
+    "static": (_cmd_static, "induced effort under audit-and-fine regulation, per requirement"),
+    "impossibility": (_cmd_impossibility,
+                      "show no single requirement serves two cost structures"),
+    "simulate": (_cmd_simulate, "Monte Carlo check of the stable policy's value"),
+    "verify": (_cmd_verify, "run the randomized verification suites"),
 }
 
 
@@ -353,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="solver for effort regulation with harm-triggered backlash",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in _COMMANDS.items():
+    for name, (_, text) in _COMMANDS.items():
         p = sub.add_parser(name, help=text, description=text)
         p.add_argument("--config", metavar="PATH", help="JSON settings file")
         p.add_argument("--out", metavar="PATH",
@@ -374,18 +377,8 @@ def run(argv: list | None = None) -> int:
     try:
         config = load_config(args.config, overrides)
         started = time.perf_counter()
-        if args.command == "verify":
-            rows, fields, results, code = _cmd_verify(config, args.episodes is not None)
-        else:
-            handler = {
-                "welfare": _cmd_welfare,
-                "solve": _cmd_solve,
-                "design-backlash": _cmd_design_backlash,
-                "static": _cmd_static,
-                "impossibility": _cmd_impossibility,
-                "simulate": _cmd_simulate,
-            }[args.command]
-            rows, fields, results, code = handler(config)
+        handler, _ = _COMMANDS[args.command]
+        rows, fields, results, code = handler(config)
         elapsed = time.perf_counter() - started
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
@@ -398,10 +391,14 @@ def run(argv: list | None = None) -> int:
         return 3
 
     if args.out:
-        emit_csv(rows, args.out, fields)
         base = args.out[:-4] if args.out.endswith(".csv") else args.out
-        write_meta(base + ".meta.json", args.command, config, results,
-                   len(rows), elapsed)
+        try:
+            emit_csv(rows, args.out, fields)
+            write_meta(base + ".meta.json", args.command, config, results,
+                       len(rows), elapsed)
+        except OSError as err:  # names the path it could not write
+            print(f"output error: {err}", file=sys.stderr)
+            return 2
         summary = ", ".join(f"{k}={_format_cell(v)}" for k, v in results.items()
                             if not isinstance(v, (list, dict)))
         print(f"{args.command}: {summary}")

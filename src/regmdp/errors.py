@@ -13,10 +13,6 @@ class FeasibilityError(ValueError):
     """An action falls below the effort the current state requires."""
 
 
-class NoLowerStateError(ValueError):
-    """The lowest state has no state below it."""
-
-
 class HorizonTooShortError(ValueError):
     """The requested horizon cannot meet the truncation-bias target."""
 

@@ -11,10 +11,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError, FeasibilityError, NoLowerStateError
+from .errors import ConstructionError, DomainError, FeasibilityError
 from .primitives import CostModel, DriftModel, HarmModel
 
 _LEVEL_ATOL = 1e-9
+
+
+def _nearest(values: np.ndarray, x: float, message: str) -> int:
+    """Index of the entry within 1e-9 of x; otherwise DomainError(message.format(x))."""
+    i = int(np.argmin(np.abs(values - x)))
+    if abs(values[i] - x) > _LEVEL_ATOL:
+        raise DomainError(message.format(x))
+    return i
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,31 +56,7 @@ class StateSpace:
 
     def index_of(self, level: float) -> int:
         """Index of the state matching `level` (within 1e-9)."""
-        i = int(np.argmin(np.abs(self.levels - level)))
-        if abs(self.levels[i] - level) > _LEVEL_ATOL:
-            raise DomainError(f"{level!r} is not a state level")
-        return i
-
-    def next_lower(self, e_c: float) -> float:
-        """The adjacent level below state e_c, where drift lands."""
-        i = self.index_of(e_c)
-        if i == 0:
-            raise NoLowerStateError(f"state {e_c!r} is the lowest level")
-        return float(self.levels[i - 1])
-
-    def floor(self, e: float) -> float:
-        """Largest state level not exceeding effort e.
-
-        Values within 1e-9 of a level count as that level, so thresholds
-        produced by continuous refinement land on the intended state.
-        """
-        if e < self.levels[0] - _LEVEL_ATOL:
-            raise DomainError(f"effort {e!r} lies below the lowest level {self.levels[0]}")
-        j = int(np.searchsorted(self.levels, e, side="right")) - 1
-        if j + 1 < self.levels.size and self.levels[j + 1] - e <= _LEVEL_ATOL:
-            j += 1
-        j = max(j, 0)
-        return float(self.levels[j])
+        return _nearest(self.levels, level, "{!r} is not a state level")
 
 
 def build_state_space(
@@ -123,9 +107,7 @@ class ActionGrid:
 
     def require_member(self, e: float) -> float:
         """Return the grid effort matching e (within 1e-9) or raise."""
-        i = int(np.argmin(np.abs(self.efforts - e)))
-        if abs(self.efforts[i] - e) > _LEVEL_ATOL:
-            raise DomainError(f"effort {e!r} is not on the action grid")
+        i = _nearest(self.efforts, e, "effort {!r} is not on the action grid")
         return float(self.efforts[i])
 
 
@@ -192,9 +174,6 @@ class Policy:
         if not np.isfinite(tau) or tau < 0:
             raise DomainError(f"threshold must be finite and non-negative, got {tau}")
         return cls(space, np.maximum(space.levels, tau))
-
-    def effort_at(self, index: int) -> float:
-        return float(self.efforts[index])
 
 
 @dataclass(frozen=True, eq=False)

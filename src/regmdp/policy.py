@@ -87,21 +87,16 @@ def evaluate_policy(mdp: RegulationMdp, policy: Policy) -> ValueFunction:
 
 
 def _lookahead(mdp: RegulationMdp, v: np.ndarray, i, e):
-    """One-step lookahead from state index i playing effort e, against values v.
+    """One-step lookahead value q from state index i playing effort e, against values v.
 
-    Returns (q, d): d = g v[i-1] + (1 - g) v[i] is the expected next value when
-    no harm occurs, and q = -c(e) + gamma (h(e) v_B + (1 - h(e)) d). Broadcasts
-    over i and e; g[0] = 0, so d is exactly v[0] in the bottom state.
+    q = -c(e) + gamma (h(e) v_B + (1 - h(e)) d), where d = g v[i-1] + (1 - g) v[i]
+    is the expected next value when no harm occurs. Broadcasts over i and e;
+    g[0] = 0, so d is exactly v[0] in the bottom state.
     """
     g = mdp.drift.probs[i]
     d = g * v[np.maximum(i - 1, 0)] + (1.0 - g) * v[i]
     h = mdp.harm.prob(e)  # also rejects negative effort
-    return -mdp.cost.value(e) + mdp.gamma * (h * v[-1] + (1.0 - h) * d), d
-
-
-def continuation_value(mdp: RegulationMdp, vfun: ValueFunction, e_c: float) -> float:
-    """Expected next-state value at state e_c conditional on no harm event."""
-    return float(_lookahead(mdp, vfun.values, mdp.space.index_of(e_c), e_c)[1])
+    return -mdp.cost.value(e) + mdp.gamma * (h * v[-1] + (1.0 - h) * d)
 
 
 def q_value(mdp: RegulationMdp, vfun: ValueFunction, e_c: float, e: float) -> float:
@@ -112,7 +107,7 @@ def q_value(mdp: RegulationMdp, vfun: ValueFunction, e_c: float, e: float) -> fl
     """
     if e < e_c - 1e-12:
         raise FeasibilityError(f"effort {e} falls below the required level {e_c}")
-    return float(_lookahead(mdp, vfun.values, mdp.space.index_of(e_c), e)[0])
+    return float(_lookahead(mdp, vfun.values, mdp.space.index_of(e_c), e))
 
 
 def evaluate_threshold_policy(mdp: RegulationMdp, tau: float) -> ValueFunction:
@@ -147,7 +142,7 @@ def evaluate_threshold_policy(mdp: RegulationMdp, tau: float) -> ValueFunction:
 def _greedy(mdp: RegulationMdp, v: np.ndarray):
     """Best feasible grid effort per state against state values v, and its value."""
     acts = mdp.actions.efforts
-    q, _ = _lookahead(mdp, v, np.arange(v.size)[:, None], acts)
+    q = _lookahead(mdp, v, np.arange(v.size)[:, None], acts)
     q[acts[None, :] < mdp.space.levels[:, None] - 1e-12] = -np.inf  # below the requirement
     best = np.argmax(q, axis=1)  # the first maximizer: ties go to the lowest effort
     return acts[best], q[np.arange(v.size), best]

@@ -57,55 +57,6 @@ class HarmModel:
 
 
 @dataclass(frozen=True)
-class PiecewiseLinearHarm:
-    """Two-segment linear harm curve with zero curvature almost everywhere.
-
-    Exercises the weakly convex edge of the harm assumptions: the slope jumps
-    from -slope_first to -slope_second at the kink (slope_first > slope_second
-    so the curve stays convex) and the probability stays strictly positive on
-    [0, e_cap]. The derivative at the kink is taken from the right.
-    """
-
-    h_at_zero: float
-    slope_first: float
-    slope_second: float
-    kink: float
-    e_cap: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.h_at_zero <= 1.0:
-            raise ConstructionError(f"h_at_zero must lie in (0, 1], got {self.h_at_zero}")
-        if not self.slope_first > self.slope_second > 0.0:
-            raise ConstructionError(
-                "slopes must satisfy slope_first > slope_second > 0, got "
-                f"{self.slope_first} and {self.slope_second}"
-            )
-        if not 0.0 < self.kink < self.e_cap:
-            raise ConstructionError(f"kink must lie in (0, e_cap), got {self.kink}")
-        if self._raw(self.e_cap) <= 0.0:
-            raise ConstructionError("harm probability must stay positive up to e_cap")
-
-    def _raw(self, e):
-        e = np.asarray(e, dtype=float)
-        before = self.h_at_zero - self.slope_first * e
-        after = (
-            self.h_at_zero
-            - self.slope_first * self.kink
-            - self.slope_second * (e - self.kink)
-        )
-        return np.where(e < self.kink, before, after)
-
-    def prob(self, e):
-        e = _effort_array(e)
-        return _match_input(np.asarray(self._raw(e)))
-
-    def derivative(self, e):
-        e = _effort_array(e)
-        out = np.where(e < self.kink, -self.slope_first, -self.slope_second)
-        return _match_input(np.asarray(out))
-
-
-@dataclass(frozen=True)
 class CostModel:
     """Quadratic moderation cost c(e) = a * e**2 + b * e.
 

@@ -49,20 +49,6 @@ class Trajectory:
     seed: int
     discounted_return: float
 
-    def records(self, episode: int = 0):
-        """Rows ready for CSV export, one per step."""
-        return [
-            {
-                "episode": episode,
-                "t": t,
-                "state": s.state,
-                "action": s.action,
-                "harm": s.harm,
-                "reward": s.reward,
-            }
-            for t, s in enumerate(self.steps)
-        ]
-
 
 def _episode_rng(seed: int, stream: tuple = ()) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=stream)))
@@ -152,7 +138,11 @@ def minimal_horizon(mdp: RegulationMdp, max_bias: float) -> int:
     ratio = max_bias * (1.0 - mdp.gamma) / c_max
     if ratio >= 1.0:
         return 1
-    return max(1, int(np.ceil(np.log(ratio) / np.log(mdp.gamma))))
+    if ratio < np.finfo(float).tiny:  # the product underflows; add its factors' logs
+        log_ratio = np.log(max_bias) + np.log(1.0 - mdp.gamma) - np.log(c_max)
+    else:
+        log_ratio = np.log(ratio)
+    return max(1, int(np.ceil(log_ratio / np.log(mdp.gamma))))
 
 
 def _available_cpus() -> int:

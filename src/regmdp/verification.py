@@ -37,6 +37,16 @@ from .thresholds import (
     static_optimal_effort,
 )
 
+_ACTION_STEP = 1e-3  # action-grid step of every generated scenario
+_E_MAX = 1.0  # effort ceiling of the generated MDPs
+_DESIGN_E_MAX = 2.5  # effort ceiling of the backlash design round trip
+_N_TAUS = 21  # evenly spaced thresholds per scenario, from 0 to the backlash level
+_VALUE_TOL = 1e-9  # value gap that counts as a violation of a value ordering
+_MARGIN_TOL = 1e-9  # preference margin too small for its sign to be checked
+_MAX_FINE = 1e9  # largest fine the static sweep draws
+_MAX_ATTEMPTS = 300  # scenario draws the design round trip may spend
+_REL_TOL = 1e-6  # relative error allowed between a derivative and its central difference
+
 
 @dataclass
 class SuiteResult:
@@ -90,17 +100,15 @@ def random_mdp(
     rng: np.random.Generator,
     n_states_range: tuple = (11, 31),
     gamma_range: tuple = (0.5, 0.99),
-    e_max: float = 1.0,
-    action_step: float = 1e-3,
 ) -> RegulationMdp:
     n = int(rng.integers(n_states_range[0], n_states_range[1] + 1))
-    top = rng.uniform(0.6, 1.0) * e_max
+    top = rng.uniform(0.6, 1.0) * _E_MAX
     levels = random_levels(rng, n, top)
     drift = rng.uniform(0.05, 0.8, size=n)
     drift[0] = 0.0
     return RegulationMdp(
         StateSpace(levels),
-        build_action_grid(e_max, action_step, levels),
+        build_action_grid(_E_MAX, _ACTION_STEP, levels),
         random_harm(rng),
         random_cost(rng),
         DriftModel(drift),
@@ -113,9 +121,7 @@ def random_mdp(
 # ---------------------------------------------------------------------------
 
 
-def threshold_matches_brute_force(
-    n_scenarios: int = 20, seed: int = 101, action_step: float = 1e-3
-) -> SuiteResult:
+def threshold_matches_brute_force(n_scenarios: int = 20, seed: int = 101) -> SuiteResult:
     """The threshold policy at the stable effort matches policy iteration.
 
     Agreement means every state's brute-force optimal action is within one
@@ -124,13 +130,13 @@ def threshold_matches_brute_force(
     rng = np.random.default_rng(seed)
     out = SuiteResult("threshold policy matches brute force")
     for case in range(n_scenarios):
-        mdp = random_mdp(rng, action_step=action_step)
+        mdp = random_mdp(rng)
         out.checks += 1
         stable = optimal_threshold(mdp)
         brute, _ = value_iteration(mdp)
         expected = np.maximum(stable, mdp.space.levels)
         diff = np.abs(brute.efforts - expected)
-        if np.any(diff > action_step + 1e-9):
+        if np.any(diff > _ACTION_STEP + 1e-9):
             j = int(np.argmax(diff))
             out.failures.append(
                 f"case {case}: state {mdp.space.levels[j]:.6g} plays "
@@ -140,39 +146,35 @@ def threshold_matches_brute_force(
     return out
 
 
-def states_below_threshold_share_value(
-    n_scenarios: int = 20, seed: int = 101, n_taus: int = 21, tol: float = 1e-9
-) -> SuiteResult:
+def states_below_threshold_share_value(n_scenarios: int = 20, seed: int = 101) -> SuiteResult:
     """Every state at or below a threshold carries the same value."""
     rng = np.random.default_rng(seed)
     out = SuiteResult("states below the threshold share one value")
     for case in range(n_scenarios):
         mdp = random_mdp(rng)
-        for tau in np.linspace(0.0, mdp.space.backlash_level, n_taus):
+        for tau in np.linspace(0.0, mdp.space.backlash_level, _N_TAUS):
             out.checks += 1
             vf = evaluate_threshold_policy(mdp, float(tau))
             held = mdp.space.levels <= tau
             if not held.any():
                 continue
             spread = float(np.ptp(vf.values[held]))
-            if spread > tol:
+            if spread > _VALUE_TOL:
                 out.failures.append(f"case {case}: tau {tau:.4g} spread {spread:.3g}")
     return out
 
 
-def backlash_state_is_worst(
-    n_scenarios: int = 20, seed: int = 101, n_taus: int = 21, tol: float = 1e-9
-) -> SuiteResult:
+def backlash_state_is_worst(n_scenarios: int = 20, seed: int = 101) -> SuiteResult:
     """No state is worth less than the backlash state under threshold play."""
     rng = np.random.default_rng(seed)
     out = SuiteResult("backlash state is never better than any other")
     for case in range(n_scenarios):
         mdp = random_mdp(rng)
-        for tau in np.linspace(0.0, mdp.space.backlash_level, n_taus):
+        for tau in np.linspace(0.0, mdp.space.backlash_level, _N_TAUS):
             out.checks += 1
             vf = evaluate_threshold_policy(mdp, float(tau))
             worst = vf.at_backlash
-            if np.any(worst > vf.values + tol):
+            if np.any(worst > vf.values + _VALUE_TOL):
                 j = int(np.argmin(vf.values - worst))
                 out.failures.append(
                     f"case {case}: tau {tau:.4g} state {mdp.space.levels[j]:.4g} "
@@ -182,7 +184,7 @@ def backlash_state_is_worst(
 
 
 def effort_preference_signs_agree(
-    n_scenarios: int = 20, seed: int = 101, n_triples: int = 1000, margin_tol: float = 1e-9
+    n_scenarios: int = 20, seed: int = 101, n_triples: int = 1000
 ) -> SuiteResult:
     """Pairwise effort preferences match the value-gap criterion.
 
@@ -211,7 +213,7 @@ def effort_preference_signs_agree(
             h1, h2 = float(mdp.harm.prob(e1)), float(mdp.harm.prob(e2))
             c1, c2 = float(mdp.cost.value(e1)), float(mdp.cost.value(e2))
             predicted = mdp.gamma * (h1 - h2) * (d - vf.at_backlash) - (c2 - c1)
-            if abs(predicted) <= margin_tol:
+            if abs(predicted) <= _MARGIN_TOL:
                 continue
             actual = q_value(mdp, vf, e_c, e2) - q_value(mdp, vf, e_c, e1)
             if np.sign(actual) != np.sign(predicted):
@@ -222,19 +224,17 @@ def effort_preference_signs_agree(
     return out
 
 
-def static_fines_never_exceed_requirement(
-    n_pairs: int = 100, seed: int = 303, max_fine: float = 1e9, action_step: float = 1e-3
-) -> SuiteResult:
+def static_fines_never_exceed_requirement(n_pairs: int = 100, seed: int = 303) -> SuiteResult:
     """No audit probability and fine push effort above the requirement."""
     rng = np.random.default_rng(seed)
     out = SuiteResult("static fines never push effort past the requirement")
     cost = random_cost(rng)
     levels = np.linspace(0.0, 1.0, 11)
-    actions = build_action_grid(1.0, action_step, levels)
+    actions = build_action_grid(1.0, _ACTION_STEP, levels)
     families = [StepAuditFailure(1.0), RampAuditFailure(5.0)]
     for case in range(n_pairs):
         r = float(rng.uniform(0.0, 1.0))
-        fine = float(rng.uniform(0.0, max_fine))
+        fine = float(rng.uniform(0.0, _MAX_FINE))
         for fam in families:
             regime = StaticRegime(r, fine, fam)
             for e_c in levels:
@@ -248,28 +248,22 @@ def static_fines_never_exceed_requirement(
     return out
 
 
-def backlash_design_round_trip(
-    n_designs: int = 10,
-    seed: int = 404,
-    e_max: float = 2.5,
-    action_step: float = 1e-3,
-    max_attempts: int = 300,
-) -> SuiteResult:
+def backlash_design_round_trip(n_designs: int = 10, seed: int = 404) -> SuiteResult:
     """Designed backlash levels reproduce the target effort when re-solved."""
     rng = np.random.default_rng(seed)
     out = SuiteResult("backlash design round trip recovers the target")
     built = 0
     attempts = 0
-    while built < n_designs and attempts < max_attempts:
+    while built < n_designs and attempts < _MAX_ATTEMPTS:
         attempts += 1
         welfare = random_welfare(rng)
         gamma = float(rng.uniform(0.6, 0.95))
-        e_star = socially_optimal_effort(welfare, e_max=e_max)
-        if not 0.1 <= e_star <= 0.7 * e_max:
+        e_star = socially_optimal_effort(welfare, e_max=_DESIGN_E_MAX)
+        if not 0.1 <= e_star <= 0.7 * _DESIGN_E_MAX:
             continue
         m = int(rng.integers(3, 8))
         lower = np.linspace(0.0, rng.uniform(0.4, 0.9) * e_star, m)
-        template = StateSpace(np.append(lower, e_max))
+        template = StateSpace(np.append(lower, _DESIGN_E_MAX))
         drift = rng.uniform(0.1, 0.7, size=m + 1)
         drift[0] = 0.0
         try:
@@ -279,8 +273,8 @@ def backlash_design_round_trip(
                 template,
                 DriftModel(drift),
                 tol=1e-6,
-                e_max=e_max,
-                action_step=action_step,
+                e_max=_DESIGN_E_MAX,
+                action_step=_ACTION_STEP,
             )
         except InsufficientMaxEffortError:
             continue
@@ -291,7 +285,7 @@ def backlash_design_round_trip(
                 f"design {built}: backlash {design.designed_e_h:.6g} not above "
                 f"target {design.target_e_star:.6g}"
             )
-        elif abs(design.achieved_threshold - design.target_e_star) > 2 * action_step:
+        elif abs(design.achieved_threshold - design.target_e_star) > 2 * _ACTION_STEP:
             out.failures.append(
                 f"design {built}: achieved {design.achieved_threshold:.6g} vs "
                 f"target {design.target_e_star:.6g}"
@@ -304,16 +298,14 @@ def backlash_design_round_trip(
     return out
 
 
-def weak_backlash_leaves_a_shortfall(
-    n_scenarios: int = 10, seed: int = 505, e_max: float = 1.0, action_step: float = 1e-3
-) -> SuiteResult:
+def weak_backlash_leaves_a_shortfall(n_scenarios: int = 10, seed: int = 505) -> SuiteResult:
     """With the backlash level at or below the social optimum, the gap is negative."""
     rng = np.random.default_rng(seed)
     out = SuiteResult("weak backlash levels leave a strict effort shortfall")
     built = 0
     while built < n_scenarios:
         welfare = random_welfare(rng)
-        e_star = socially_optimal_effort(welfare, e_max=e_max)
+        e_star = socially_optimal_effort(welfare, e_max=_E_MAX)
         if e_star < 0.15:
             continue
         built += 1
@@ -325,7 +317,7 @@ def weak_backlash_leaves_a_shortfall(
         drift[0] = 0.0
         mdp = RegulationMdp(
             StateSpace(levels),
-            build_action_grid(e_max, action_step, levels),
+            build_action_grid(_E_MAX, _ACTION_STEP, levels),
             welfare.harm,
             welfare.cost,
             DriftModel(drift),
@@ -389,9 +381,7 @@ def monte_carlo_matches_analytic(
     return out
 
 
-def numeric_hygiene(
-    n_points: int = 1000, seed: int = 808, rel_tol: float = 1e-6
-) -> SuiteResult:
+def numeric_hygiene(n_points: int = 1000, seed: int = 808) -> SuiteResult:
     """Derivatives, solver residuals, and the welfare optimum stay tight."""
     rng = np.random.default_rng(seed)
     out = SuiteResult("derivatives, residuals, and optima stay within tolerance")
@@ -407,12 +397,12 @@ def numeric_hygiene(
         e = float(rng.uniform(delta, 1.0))
         out.checks += 1
         hd = float(harm.derivative(e))
-        if abs(central(harm.prob, e) - hd) > rel_tol * max(abs(hd), 1e-12):
-            out.failures.append(f"harm slope at {e:.4g} off by more than {rel_tol}")
+        if abs(central(harm.prob, e) - hd) > _REL_TOL * max(abs(hd), 1e-12):
+            out.failures.append(f"harm slope at {e:.4g} off by more than {_REL_TOL}")
         out.checks += 1
         cd = float(cost.derivative(e))
-        if abs(central(cost.value, e) - cd) > rel_tol * max(abs(cd), 1e-12):
-            out.failures.append(f"cost slope at {e:.4g} off by more than {rel_tol}")
+        if abs(central(cost.value, e) - cd) > _REL_TOL * max(abs(cd), 1e-12):
+            out.failures.append(f"cost slope at {e:.4g} off by more than {_REL_TOL}")
 
     # evaluated value functions leave residuals below 1e-10
     for _ in range(10):

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from regmdp import ConfigError, DEFAULTS, load_config
+from regmdp import ConfigError, DEFAULTS, SuiteResult, cli, load_config
 from regmdp.cli import emit_csv, run
 
 E_STAR = 0.6284733737717892
@@ -308,6 +308,22 @@ class TestCliCommands:
         assert len(lines) == 10
         assert all(l.startswith("pass ") for l in lines)
 
+    def test_verify_runs_its_monte_carlo_suite_at_the_configured_episodes(
+        self, tmp_path, monkeypatch
+    ):
+        calls = []
+
+        def fake_run_all(**kwargs):
+            calls.append(kwargs)
+            return [SuiteResult("stub", checks=1)]
+
+        monkeypatch.setattr(cli, "run_all", fake_run_all)
+        cfg = write_json(tmp_path / "c.json", {"episodes": 5000})
+        assert run(["verify", "--config", cfg, "--out", str(tmp_path / "v.csv")]) == 0
+        assert [c["mc_episodes"] for c in calls] == [5000]
+        meta = json.loads((tmp_path / "v.meta.json").read_text())
+        assert meta["config"]["episodes"] == 5000
+
     def test_bad_config_exits_two(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "c.json", {"gamma": 5})
         assert run(["solve", "--config", cfg]) == 2
@@ -331,11 +347,11 @@ class TestCliCommands:
         assert exc.value.code == 2
 
 
-def run_in_child(code, *args, timeout=60):
-    """Run Python code in a fresh interpreter that imports this checkout."""
+def run_in_child(*argv, timeout=60):
+    """Run Python with these arguments in a fresh interpreter that imports this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, timeout=timeout,
+    return subprocess.run([sys.executable, *argv], env=env, timeout=timeout,
                           capture_output=True, text=True)
 
 
@@ -349,7 +365,7 @@ class TestCliInAFreshProcess:
         # the timeout turns such a regression into a failure, not a hang
         cfg = write_json(tmp_path / "c.json", settings)
         code = "import sys; from regmdp.cli import run; sys.exit(run(sys.argv[1:]))"
-        done = run_in_child(code, command, "--config", cfg)
+        done = run_in_child("-c", code, command, "--config", cfg)
         assert done.returncode == 0, done.stderr
 
     def test_runs_without_scipy(self, tmp_path):
@@ -361,7 +377,7 @@ class TestCliInAFreshProcess:
             "         for c in ('welfare', 'solve', 'design-backlash')}\n"
             "print(json.dumps(codes))\n"
         )
-        done = run_in_child(code, str(tmp_path))
+        done = run_in_child("-c", code, str(tmp_path))
         assert done.returncode == 0, done.stderr
         codes = json.loads(done.stdout.splitlines()[-1])
         assert codes == {"welfare": 0, "solve": 0, "design-backlash": 1}
@@ -369,6 +385,17 @@ class TestCliInAFreshProcess:
             meta = json.loads((tmp_path / f"{command}.meta.json").read_text())
             assert sorted(meta["versions"]) == ["numpy", "python", "regmdp"]
 
+    @pytest.mark.parametrize("where, code", [("missing/w.csv", 2), ("w.csv", 0)])
+    def test_main_exits_two_when_out_cannot_be_written(self, tmp_path, where, code):
+        # the computation succeeds either way; only writing its CSV can fail
+        out = tmp_path / where
+        done = run_in_child("-m", "regmdp.cli", "welfare", "--out", str(out))
+        assert done.returncode == code, done.stderr
+        assert "Traceback" not in done.stderr
+        if code == 2:
+            assert done.stderr.startswith("output error: ") and str(out) in done.stderr
+        assert out.exists() == (code == 0)
+
     def test_import_leaves_scipy_unloaded(self):
-        done = run_in_child("import sys, regmdp.cli; print('scipy' in sys.modules)")
+        done = run_in_child("-c", "import sys, regmdp.cli; print('scipy' in sys.modules)")
         assert done.stdout.strip() == "False", done.stderr

@@ -9,7 +9,6 @@ from regmdp import (
     DomainError,
     DriftModel,
     FeasibilityError,
-    NoLowerStateError,
     Policy,
     RegulationMdp,
     StateSpace,
@@ -46,19 +45,6 @@ class TestStateSpace:
         assert space.index_of(0.5 + 1e-12) == 5
         with pytest.raises(DomainError):
             space.index_of(0.55)
-
-    def test_next_lower(self, space):
-        assert space.next_lower(0.5) == pytest.approx(0.4)
-        with pytest.raises(NoLowerStateError):
-            space.next_lower(0.0)
-
-    def test_floor_snaps_and_clamps(self, space):
-        assert space.floor(0.35) == pytest.approx(0.3)
-        assert space.floor(0.3 - 1e-10) == pytest.approx(0.3)  # snaps up to the level
-        assert space.floor(0.0) == 0.0
-        assert space.floor(5.0) == 1.0
-        with pytest.raises(DomainError):
-            space.floor(-0.05)
 
     def test_levels_are_read_only(self, space):
         with pytest.raises(ValueError):
@@ -111,7 +97,7 @@ class TestPolicy:
     def test_comply_plays_the_requirement(self, space):
         pol = Policy.comply(space)
         assert np.array_equal(pol.efforts, space.levels)
-        assert pol.effort_at(3) == pytest.approx(0.3)
+        assert pol.efforts[3] == pytest.approx(0.3)
 
     def test_threshold_plays_the_max(self, space):
         pol = Policy.threshold(space, 0.45)

@@ -11,7 +11,6 @@ from regmdp import (
     Policy,
     RegulationMdp,
     ValueFunction,
-    continuation_value,
     evaluate_policy,
     evaluate_threshold_policy,
     load_config,
@@ -119,17 +118,19 @@ class TestQValues:
         policy = Policy.threshold(mdp.space, 0.45)
         vf = evaluate_policy(mdp, policy)
         for i, lv in enumerate(mdp.space.levels):
-            q = q_value(mdp, vf, float(lv), policy.effort_at(i))
+            q = q_value(mdp, vf, float(lv), policy.efforts[i])
             assert q == pytest.approx(vf[i], abs=1e-10)
 
     def test_q_matches_manual_one_step_expectation(self, mdp):
+        # a middle state mixes drift and stay; the bottom state can only stay
         vf = evaluate_policy(mdp, Policy.threshold(mdp.space, 0.45))
-        e_c, e = 0.5, 0.7
-        pairs = mdp.transition_distribution(e_c, e)
-        manual = -mdp.cost.value(e) + 0.9 * sum(
-            p * vf[mdp.space.index_of(lv)] for lv, p in pairs
-        )
-        assert q_value(mdp, vf, e_c, e) == pytest.approx(manual, abs=1e-12)
+        e = 0.7
+        for e_c in (0.0, 0.5):
+            pairs = mdp.transition_distribution(e_c, e)
+            manual = -mdp.cost.value(e) + 0.9 * sum(
+                p * vf[mdp.space.index_of(lv)] for lv, p in pairs
+            )
+            assert q_value(mdp, vf, e_c, e) == pytest.approx(manual, abs=1e-12)
 
     def test_q_accepts_offgrid_efforts(self, mdp):
         vf = evaluate_policy(mdp, Policy.comply(mdp.space))
@@ -141,12 +142,6 @@ class TestQValues:
         vf = evaluate_policy(mdp, Policy.comply(mdp.space))
         with pytest.raises(FeasibilityError):
             q_value(mdp, vf, 0.5, 0.3)
-
-    def test_continuation_mixes_drift_and_stay(self, mdp):
-        vf = evaluate_policy(mdp, Policy.comply(mdp.space))
-        d = continuation_value(mdp, vf, 0.5)
-        assert d == pytest.approx(0.3 * vf[4] + 0.7 * vf[5], abs=1e-12)
-        assert continuation_value(mdp, vf, 0.0) == vf[0]
 
 
 class TestValueIteration:

@@ -15,7 +15,6 @@ from regmdp import (
     DomainError,
     DriftModel,
     HarmModel,
-    PiecewiseLinearHarm,
     WelfareModel,
     socially_optimal_effort,
 )
@@ -79,35 +78,6 @@ class TestHarmModel:
     def test_immutable(self, harm):
         with pytest.raises(dataclasses.FrozenInstanceError):
             harm.k = 2.0
-
-
-class TestPiecewiseLinearHarm:
-    def test_values_and_kink(self):
-        pl = PiecewiseLinearHarm(0.9, 1.0, 0.2, 0.5)
-        assert pl.prob(0.0) == pytest.approx(0.9)
-        assert pl.prob(0.25) == pytest.approx(0.9 - 0.25)
-        assert pl.prob(0.5) == pytest.approx(0.4)
-        assert pl.prob(0.7) == pytest.approx(0.4 - 0.2 * 0.2)
-        # the slope at the kink is the right-hand one
-        assert pl.derivative(0.5) == pytest.approx(-0.2)
-        assert pl.derivative(0.3) == pytest.approx(-1.0)
-
-    def test_decreasing_and_weakly_convex(self):
-        pl = PiecewiseLinearHarm(0.9, 1.0, 0.2, 0.5)
-        e = np.linspace(0.0, 1.0, 101)
-        p = pl.prob(e)
-        assert np.all(np.diff(p) < 0)
-        assert np.all(np.diff(p, 2) >= -1e-15)
-
-    def test_rejects_concave_or_nonpositive_curves(self):
-        with pytest.raises(ConstructionError):
-            PiecewiseLinearHarm(0.9, 0.2, 1.0, 0.5)  # slopes in the wrong order
-        with pytest.raises(ConstructionError):
-            PiecewiseLinearHarm(0.5, 1.0, 0.2, 0.4)  # hits zero before the cap
-        with pytest.raises(ConstructionError):
-            PiecewiseLinearHarm(1.2, 1.0, 0.2, 0.5)
-        with pytest.raises(ConstructionError):
-            PiecewiseLinearHarm(0.9, 1.0, 0.2, 1.5)  # kink beyond the cap
 
 
 class TestCostModel:

@@ -44,14 +44,6 @@ class TestSampleTrajectory:
         traj = sample_trajectory(mdp, pol, seed=0, horizon=3)
         assert traj.steps[0].state == 1.0
 
-    def test_records_have_flat_keys(self, mdp):
-        pol = Policy.comply(mdp.space)
-        traj = sample_trajectory(mdp, pol, seed=0, horizon=4)
-        rows = traj.records(episode=2)
-        assert len(rows) == 4
-        assert list(rows[0]) == ["episode", "t", "state", "action", "harm", "reward"]
-        assert rows[3]["t"] == 3 and rows[0]["episode"] == 2
-
     def test_harm_jumps_to_the_backlash_state(self, mdp):
         pol = Policy.comply(mdp.space)
         traj = sample_trajectory(mdp, pol, seed=3, horizon=200, start_level=0.0)
@@ -99,6 +91,14 @@ class TestHorizons:
         assert h == 149
         assert truncation_bound(mdp, h) <= 1e-6
         assert truncation_bound(mdp, h - 1) > 1e-6
+
+    @pytest.mark.parametrize("target", [1e-300, 1e-310, 5e-324])
+    def test_a_tiny_bias_target_gets_a_finite_horizon(self, mdp, target):
+        # at the two smaller targets, target * (1 - gamma) / c_max underflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = minimal_horizon(mdp, target)
+            assert truncation_bound(mdp, h) <= target
 
     def test_myopic_horizon_is_one(self, mdp):
         m0 = RegulationMdp(mdp.space, mdp.actions, mdp.harm, mdp.cost, mdp.drift, 0.0)
