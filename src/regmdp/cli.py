@@ -258,7 +258,7 @@ def _cmd_static(config: Config):
         "requirement_is_a_cap": bool(max_excess <= 1e-12),
         "sweep_draws": config["static_draws"],
     }
-    return rows, None, results, 0 if max_excess <= 1e-12 else 1
+    return rows, None, results, 0  # static_optimal_effort raises on any excess
 
 
 def _cmd_impossibility(config: Config):

@@ -90,11 +90,11 @@ def _lookahead(mdp: RegulationMdp, v: np.ndarray, i, e):
     """One-step lookahead value q from state index i playing effort e, against values v.
 
     q = -c(e) + gamma (h(e) v_B + (1 - h(e)) d), where d = g v[i-1] + (1 - g) v[i]
-    is the expected next value when no harm occurs. Broadcasts over i and e;
-    g[0] = 0, so d is exactly v[0] in the bottom state.
+    is the expected next value when no harm occurs; broadcasts over i and e. At i = 0,
+    v[i-1] wraps to v[-1], but DriftModel pins g[0] = 0, so d is exactly v[0].
     """
     g = mdp.drift.probs[i]
-    d = g * v[np.maximum(i - 1, 0)] + (1.0 - g) * v[i]
+    d = g * v[i - 1] + (1.0 - g) * v[i]
     h = mdp.harm.prob(e)  # also rejects negative effort
     return -mdp.cost.value(e) + mdp.gamma * (h * v[-1] + (1.0 - h) * d)
 

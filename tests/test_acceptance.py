@@ -22,7 +22,8 @@ def test_stable_threshold_policy_matches_brute_force_on_random_scenarios():
 
 
 def test_states_below_any_threshold_share_one_value():
-    # 21 thresholds per scenario; value spread across held states <= 1e-9
+    # 21 thresholds per scenario; the held states' value spread stays within
+    # evaluate_threshold_policy's own bound, 2(3n + 4) ulps / (1 - gamma)
     report(verification.states_below_threshold_share_value(n_scenarios=20, seed=101))
 
 
@@ -74,5 +75,6 @@ def test_monte_carlo_matches_analytic_values():
 
 def test_numeric_hygiene_of_derivatives_residuals_and_optima():
     # central differences within 1e-6 relative error on 1000 draws, Bellman
-    # residuals below 1e-10, root-found optima within 2e-4 of a fine grid
+    # residuals within evaluate_policy's own bound of (3n + 4) ulps of the
+    # value scale, root-found optima within 2e-4 of a fine grid
     report(verification.numeric_hygiene(n_points=1000, seed=808))

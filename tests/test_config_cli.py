@@ -12,8 +12,11 @@ import warnings
 import numpy as np
 import pytest
 
+import regmdp.policy
+import regmdp.thresholds
 from regmdp import ConfigError, DEFAULTS, SuiteResult, cli, load_config
 from regmdp.cli import emit_csv, run
+from regmdp.policy import ValueFunction
 
 E_STAR = 0.6284733737717892
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -323,6 +326,33 @@ class TestCliCommands:
         assert [c["mc_episodes"] for c in calls] == [5000]
         meta = json.loads((tmp_path / "v.meta.json").read_text())
         assert meta["config"]["episodes"] == 5000
+
+    @pytest.mark.parametrize(
+        "module, name, fake, message",
+        [
+            # more effort always pays, so static enforcement overshoots the requirement
+            ("thresholds", "static_expected_utility",
+             lambda regime, cost, e, e_c: np.asarray(e, dtype=float), "above the requirement"),
+            # held states lose their shared value, in every suite that evaluates a threshold
+            ("policy", "evaluate_policy",
+             lambda mdp, policy: ValueFunction(mdp.space, np.arange(mdp.space.n_states) - 50.0),
+             "states held at the threshold diverged"),
+        ],
+        ids=["static-overshoot", "held-state-spread"],
+    )
+    def test_verify_reports_a_breached_postcondition_as_a_failed_suite(
+        self, tmp_path, monkeypatch, module, name, fake, message
+    ):
+        monkeypatch.setattr(getattr(regmdp, module), name, fake)
+        cfg = write_json(tmp_path / "c.json", {"verify_scenarios": 2, "episodes": 2000})
+        out = tmp_path / "v.csv"
+        assert run(["verify", "--config", cfg, "--out", str(out)]) == 1
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert len(rows) == 10
+        assert any(row["ok"] == "False" for row in rows)
+        meta = json.loads((tmp_path / "v.meta.json").read_text())
+        assert meta["results"]["all_ok"] is False
+        assert any(message in failure for failure in meta["results"]["failures"])
 
     def test_bad_config_exits_two(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "c.json", {"gamma": 5})
