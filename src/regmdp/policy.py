@@ -1,9 +1,13 @@
 """Exact policy evaluation, action values, and brute-force optimization.
 
-Values come from solving the linear fixed point v = r + gamma * P v directly,
-so every value function returned here carries linear-algebra noise only.
-Policy iteration over the full action grid is retained purely as an
-independent optimality oracle for cross-checks; nothing else depends on it.
+Threshold policies, the ones the solver scans, are evaluated in O(n) by a
+forward pass over the chain's structure (`evaluate_threshold_policy`). Any
+other policy is evaluated by solving the linear fixed point v = r + gamma P v
+densely (`evaluate_policy`), which also serves as the structured path's check
+in `verification`. Either way a value function is returned only once its
+Bellman residual is within rounding. Policy iteration over the full action
+grid is retained purely as an independent optimality oracle for cross-checks;
+nothing else depends on it.
 
 All functions are pure functions of immutable inputs, so sweeps over policies
 or thresholds may run concurrently without coordination.
@@ -52,7 +56,7 @@ def _require_same_space(mdp: RegulationMdp, space: StateSpace):
 
 
 def _residual_bound(mdp: RegulationMdp, scale: float) -> float:
-    """Largest Bellman residual a dense solve may leave: (3n + 4) ulps of scale.
+    """Largest Bellman residual an evaluation may leave: (3n + 4) ulps of scale.
 
     scale bounds max|v|, so u * max|v| is at most one ulp of it (u the unit
     roundoff). An LU solve's backward error leaves a residual of about
@@ -63,8 +67,26 @@ def _residual_bound(mdp: RegulationMdp, scale: float) -> float:
     return (3 * mdp.space.n_states + 4) * float(np.spacing(scale))
 
 
+def _checked_values(mdp: RegulationMdp, v: np.ndarray, backup: np.ndarray) -> ValueFunction:
+    """v as a ValueFunction, once its Bellman residual and range pass.
+
+    backup is r + gamma P v recomputed from v. The residual |v - backup| in
+    every state must stay within (3n + 4) ulps of the value scale
+    cost(e_max) / (1 - gamma), and v within [that floor, 0].
+    """
+    floor = -float(mdp.cost.value(mdp.actions.e_max))
+    if mdp.gamma > 0:
+        floor /= 1.0 - mdp.gamma
+    residual = float(np.abs(v - backup).max())
+    if residual > _residual_bound(mdp, abs(floor)):
+        raise RuntimeError(f"policy evaluation left a Bellman residual of {residual:.3g}")
+    if v.min() < floor - 1e-8 * (1.0 + abs(floor)) or v.max() > 1e-10:
+        raise RuntimeError("policy value escaped the feasible reward range")
+    return ValueFunction(mdp.space, v)
+
+
 def evaluate_policy(mdp: RegulationMdp, policy: Policy) -> ValueFunction:
-    """Exact discounted value of a stationary policy.
+    """Exact discounted value of a stationary policy, by a dense solve.
 
     Solves (I - gamma * P) v = r and refuses to return anything whose Bellman
     residual in any state exceeds (3n + 4) ulps of the value scale
@@ -75,28 +97,26 @@ def evaluate_policy(mdp: RegulationMdp, policy: Policy) -> ValueFunction:
     p = mdp.transition_matrix(policy.efforts)
     n = mdp.space.n_states
     v = np.linalg.solve(np.eye(n) - mdp.gamma * p, r)
-    floor = -float(mdp.cost.value(mdp.actions.e_max))
-    if mdp.gamma > 0:
-        floor /= 1.0 - mdp.gamma
-    residual = float(np.max(np.abs(v - (r + mdp.gamma * (p @ v)))))
-    if residual > _residual_bound(mdp, abs(floor)):
-        raise RuntimeError(f"policy evaluation left a Bellman residual of {residual:.3g}")
-    if v.min() < floor - 1e-8 * (1.0 + abs(floor)) or v.max() > 1e-10:
-        raise RuntimeError("policy value escaped the feasible reward range")
-    return ValueFunction(mdp.space, v)
+    return _checked_values(mdp, v, r + mdp.gamma * (p @ v))
 
 
-def _lookahead(mdp: RegulationMdp, v: np.ndarray, i, e):
-    """One-step lookahead value q from state index i playing effort e, against values v.
+def _backup(mdp: RegulationMdp, v: np.ndarray, i, h, c):
+    """r + gamma P v from state index i, for an action of harm chance h and cost c.
 
-    q = -c(e) + gamma (h(e) v_B + (1 - h(e)) d), where d = g v[i-1] + (1 - g) v[i]
-    is the expected next value when no harm occurs; broadcasts over i and e. At i = 0,
-    v[i-1] wraps to v[-1], but DriftModel pins g[0] = 0, so d is exactly v[0].
+    That is -c + gamma (h v_B + (1 - h) d), where d = g v[i-1] + (1 - g) v[i]
+    is the expected next value when no harm occurs; broadcasts over i, h and
+    c. At i = 0, v[i-1] wraps to v[-1], but DriftModel pins g[0] = 0, so d
+    is exactly v[0].
     """
     g = mdp.drift.probs[i]
     d = g * v[i - 1] + (1.0 - g) * v[i]
+    return -c + mdp.gamma * (h * v[-1] + (1.0 - h) * d)
+
+
+def _lookahead(mdp: RegulationMdp, v: np.ndarray, i, e):
+    """One-step lookahead value q from state index i playing effort e, against values v."""
     h = mdp.harm.prob(e)  # also rejects negative effort
-    return -mdp.cost.value(e) + mdp.gamma * (h * v[-1] + (1.0 - h) * d)
+    return _backup(mdp, v, i, h, mdp.cost.value(e))
 
 
 def q_value(mdp: RegulationMdp, vfun: ValueFunction, e_c: float, e: float) -> float:
@@ -111,32 +131,47 @@ def q_value(mdp: RegulationMdp, vfun: ValueFunction, e_c: float, e: float) -> fl
 
 
 def evaluate_threshold_policy(mdp: RegulationMdp, tau: float) -> ValueFunction:
-    """Value of the policy that plays max(tau, required effort) everywhere.
+    """Value of the policy that plays max(tau, required effort) everywhere, in O(n).
 
-    Every state at or below tau plays tau itself and, because a harm event
-    lands in the same place regardless of where it happened, all of those
-    states must share a single value. That structure is asserted after the
-    solve as a standing consistency check, to the spread that rounding allows.
+    With D_i = 1 - gamma (1 - h_i)(1 - g_i), each state i that complies has
+    v_i = alpha_i + beta_i V_B + delta_i v_{i-1}, where alpha_i = -c_i / D_i,
+    beta_i = gamma h_i / D_i and delta_i = gamma (1 - h_i) g_i / D_i. The
+    states at or below tau all play tau and a harm event lands in the
+    backlash state wherever it happens, so they share one value
+    u + w V_B: u and w are state 0's alpha and beta, since g_0 = 0. One
+    forward pass carries v_i = a_i + b_i V_B, and s_i = 1 - b_i as the sum of
+    positive terms (1 - gamma) / D_i + delta_i s_{i-1}, so V_B = a / s at the
+    top state does not cancel as gamma nears 1.
+
+    The values must pass `evaluate_policy`'s Bellman-residual bound, with the
+    residual recomputed in O(n) from h, c and g, and its range check.
+    `verification.states_below_threshold_share_value` compares them with the
+    dense solve of the same policy.
     """
     if not 0.0 <= tau <= mdp.space.backlash_level + 1e-12:
         raise DomainError(
             f"threshold must lie in [0, {mdp.space.backlash_level}], got {tau}"
         )
-    vf = evaluate_policy(mdp, Policy.threshold(mdp.space, tau))
-    held = mdp.space.levels <= tau
-    if np.any(held):
-        spread = float(np.ptp(vf.values[held]))
-        # the held rows give x_i = v_i - v_0 the recursion
-        # (1 - gamma (1 - h)(1 - g)) x_i = gamma (1 - h) g x_{i-1} + rho_i - rho_0,
-        # so residuals rho within R keep the spread within 2R / (1 - gamma);
-        # R is taken in ulps of max|v|, at most |floor| and cheaper to get
-        scale = float(np.max(np.abs(vf.values)))
-        if spread > 2.0 * _residual_bound(mdp, scale) / (1.0 - mdp.gamma):
-            raise RuntimeError(
-                f"states held at the threshold diverged by {spread:.3g}; "
-                "the transition structure is broken"
-            )
-    return vf
+    gamma, levels, g = mdp.gamma, mdp.space.levels, mdp.drift.probs
+    efforts = np.maximum(levels, tau)
+    h = mdp.harm.prob(efforts)
+    c = mdp.cost.value(efforts)
+    stay = gamma * (1.0 - h)
+    d = 1.0 - stay * (1.0 - g)
+    alpha, beta, delta = (-c / d).tolist(), (gamma * h / d).tolist(), (stay * g / d).tolist()
+    sigma = ((1.0 - gamma) / d).tolist()
+    # state 0 and the states held with it share state 0's coefficients
+    k = max(int(np.searchsorted(levels, tau, side="right")), 1)
+    a, b, s = alpha[0], beta[0], sigma[0]
+    coef_a, coef_b = [a] * k, [b] * k
+    for i in range(k, levels.size):
+        a = alpha[i] + delta[i] * a
+        b = beta[i] + delta[i] * b
+        s = sigma[i] + delta[i] * s
+        coef_a.append(a)
+        coef_b.append(b)
+    v = np.array(coef_a) + np.array(coef_b) * (a / s) + 0.0  # + 0.0 turns -0.0 into 0.0
+    return _checked_values(mdp, v, _backup(mdp, v, np.arange(levels.size), h, c))
 
 
 def _greedy(mdp: RegulationMdp, v: np.ndarray):

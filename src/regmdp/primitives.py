@@ -5,6 +5,7 @@ to share across threads or processes. Evaluation methods accept a scalar or a
 numpy array of efforts and return a matching scalar or array.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,8 +14,17 @@ from .errors import ConstructionError, DomainError
 
 
 def _effort_array(e) -> np.ndarray:
+    """e as a float array (a float64 scalar for a float), once it is finite and >= 0.
+
+    A NaN fails both comparisons, so min >= 0 and max < inf reject NaN, +-inf
+    and negatives alike; an empty array has nothing to reject.
+    """
+    if isinstance(e, float):  # the hot scalar case: no array, no reduction
+        if not 0.0 <= e < math.inf:
+            raise DomainError(f"effort must be finite and non-negative, got {e!r}")
+        return np.float64(e)
     arr = np.asarray(e, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+    if arr.size and not (arr.min() >= 0.0 and arr.max() < math.inf):
         raise DomainError(f"effort must be finite and non-negative, got {e!r}")
     return arr
 

@@ -5,9 +5,10 @@ guarantee, and reports a SuiteResult with per-failure detail. The CLI `verify`
 subcommand runs them with configurable counts; the acceptance tests run them
 at their full published sizes. A solver's own postcondition is the one check
 of its invariant (the static cap, the design round trip, the weak-backlash
-shortfall, the Bellman residual, the held-state spread): a suite calls the
-solver inside `_solver_case`, which turns the RuntimeError of a breach into
-the case's failure.
+shortfall, the Bellman residual): a suite calls the solver inside
+`_solver_case`, which turns the RuntimeError of a breach into the case's
+failure. The held-state spread is the suite's own check: it compares the
+dense solve with the structured threshold values.
 """
 
 from contextlib import contextmanager
@@ -18,6 +19,7 @@ import numpy as np
 from .errors import InsufficientMaxEffortError
 from .mdp import Policy, RegulationMdp, StateSpace, build_action_grid
 from .policy import (
+    _residual_bound,
     evaluate_policy,
     evaluate_threshold_policy,
     q_value,
@@ -170,15 +172,40 @@ def threshold_matches_brute_force(n_scenarios: int = 20, seed: int = 101) -> Sui
 
 
 def states_below_threshold_share_value(n_scenarios: int = 20, seed: int = 101) -> SuiteResult:
-    """Every state at or below a threshold carries the same value (the solver's check)."""
+    """Every state at or below a threshold carries one value, and the dense solve agrees.
+
+    The structured `evaluate_threshold_policy` gives the held states one value
+    by construction. The dense `evaluate_policy` of the same threshold policy
+    must show that too: its held values may spread, and differ from the
+    structured ones, by no more than 2(3n + 4) ulps of its value scale over
+    1 - gamma. Residuals within (3n + 4) ulps allow that much: on the held
+    rows, x_i = v_i - v_0 follows
+    (1 - gamma (1 - h)(1 - g)) x_i = gamma (1 - h) g x_{i-1} + rho_i - rho_0.
+    """
     rng = np.random.default_rng(seed)
     out = SuiteResult("states below the threshold share one value")
     for case in range(n_scenarios):
         mdp = random_mdp(rng)
         for tau in np.linspace(0.0, mdp.space.backlash_level, _N_TAUS):
             out.checks += 1
-            with _solver_case(out, f"case {case}: tau {tau:.4g}"):
-                evaluate_threshold_policy(mdp, float(tau))
+            label = f"case {case}: tau {tau:.4g}"
+            with _solver_case(out, label):
+                structured = evaluate_threshold_policy(mdp, float(tau)).values
+                dense = evaluate_policy(mdp, Policy.threshold(mdp.space, float(tau))).values
+                scale = float(np.max(np.abs(dense)))
+                bound = 2.0 * _residual_bound(mdp, scale) / (1.0 - mdp.gamma)
+                spread = float(np.ptp(dense[mdp.space.levels <= tau]))
+                apart = float(np.max(np.abs(dense - structured)))
+                if spread > bound:
+                    out.failures.append(
+                        f"{label}: states held at the threshold diverged by {spread:.3g} "
+                        f"in the dense solve; rounding allows {bound:.3g}"
+                    )
+                elif apart > bound:
+                    out.failures.append(
+                        f"{label}: dense and structured values differ by {apart:.3g}; "
+                        f"rounding allows {bound:.3g}"
+                    )
     return out
 
 

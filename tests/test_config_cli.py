@@ -191,6 +191,15 @@ class TestCliCommands:
         meta = json.loads((tmp_path / "solve.meta.json").read_text())
         assert meta["results"]["stable_effort"] == 0.0
 
+    def test_myopic_solve_writes_no_negative_zero(self, tmp_path):
+        # the held bottom state costs c(0) = 0, and -c / 1 is -0.0 in floats
+        cfg = write_json(tmp_path / "c.json", {"gamma": 0})
+        out = tmp_path / "solve.csv"
+        assert run(["solve", "--config", cfg, "--out", str(out)]) == 0
+        cells = [cell for row in csv.reader(io.StringIO(out.read_text())) for cell in row]
+        assert cells[3:6] == ["0", "0", "0"]
+        assert "-0" not in cells
+
     def test_design_backlash_infeasible_at_default_ceiling(self, tmp_path, capsys):
         out = tmp_path / "design.csv"
         assert run(["design-backlash", "--out", str(out)]) == 1
@@ -262,7 +271,7 @@ class TestCliCommands:
         for row in csv.DictReader(io.StringIO(out.read_text())):
             assert float(row["induced_effort"]) <= float(row["required_effort"]) + 1e-12
         meta = json.loads((tmp_path / "static.meta.json").read_text())
-        assert meta["results"]["requirement_is_a_cap"] is True
+        assert meta["results"] == {"sweep_draws": DEFAULTS["static_draws"]}
 
     def test_static_rejects_a_zero_failure_probability(self, tmp_path, capsys):
         # the step family needs p0 in (0, 1], whichever family is configured
@@ -333,8 +342,8 @@ class TestCliCommands:
             # more effort always pays, so static enforcement overshoots the requirement
             ("thresholds", "static_expected_utility",
              lambda regime, cost, e, e_c: np.asarray(e, dtype=float), "above the requirement"),
-            # held states lose their shared value, in every suite that evaluates a threshold
-            ("policy", "evaluate_policy",
+            # the dense solve that the held-state suite reads loses the shared value
+            ("verification", "evaluate_policy",
              lambda mdp, policy: ValueFunction(mdp.space, np.arange(mdp.space.n_states) - 50.0),
              "states held at the threshold diverged"),
         ],

@@ -1,6 +1,7 @@
 """Exact evaluation, action values, and the brute-force optimality oracle."""
 
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -111,6 +112,106 @@ class TestThresholdEvaluation:
             evaluate_threshold_policy(mdp, 1.2)
         with pytest.raises(DomainError):
             evaluate_threshold_policy(mdp, -0.1)
+
+    def test_a_backup_off_by_more_than_rounding_is_refused(self, mdp, monkeypatch):
+        backup = policy_module._backup
+        monkeypatch.setattr(policy_module, "_backup", lambda *args: backup(*args) + 1e-6)
+        with pytest.raises(RuntimeError, match="Bellman residual"):
+            evaluate_threshold_policy(mdp, 0.45)
+
+    @pytest.mark.parametrize("evaluate", [
+        evaluate_threshold_policy,
+        lambda mdp, tau: evaluate_policy(mdp, Policy.threshold(mdp.space, tau)),
+    ], ids=["structured", "dense"])
+    def test_values_outside_the_reward_range_are_refused(self, mdp, evaluate):
+        # a cost curve that pays out makes every value positive
+        paid = RegulationMdp(mdp.space, mdp.actions, mdp.harm, _Payout(mdp.cost),
+                             mdp.drift, mdp.gamma)
+        with pytest.raises(RuntimeError, match="feasible reward range"):
+            evaluate(paid, 0.45)
+
+
+class _Payout:
+    """A cost curve negated: a reward for effort, which no cost model allows."""
+
+    def __init__(self, cost):
+        self.cost = cost
+
+    def value(self, e):
+        return -self.cost.value(e)
+
+
+# configs at the edges of what load_config accepts
+EDGES = {
+    "gamma 0.9999": {"gamma": 0.9999},
+    "201 states, gamma 0.9999": {"state_count": 201, "gamma": 0.9999},
+    "1001 states": {"state_count": 1001},
+    "drift 0": {"drift": 0},
+    "drift 1": {"drift": 1},
+    "k 1e4": {"k": 1e4},
+    "h_max 1": {"h_max": 1},
+    "state_min 0.3": {"state_min": 0.3},
+    "patient, costly effort": {"gamma": 0.9999, "effort_max": 5, "backlash_effort": 5,
+                               "cost_a": 3},
+}
+
+
+def edge_taus(space):
+    """Thresholds at 0, on a level, between two levels, and at the backlash level."""
+    lv = space.levels
+    return [0.0, float(lv[3]), float(0.5 * (lv[3] + lv[4])), float(lv[-1])]
+
+
+def exact_threshold_values(mdp, tau):
+    """Values of the threshold chain from its float inputs, in exact rational arithmetic."""
+    efforts = np.maximum(mdp.space.levels, tau)
+    h = [Fraction(x) for x in mdp.harm.prob(efforts)]
+    c = [Fraction(x) for x in mdp.cost.value(efforts)]
+    g = [Fraction(x) for x in mdp.drift.probs]
+    gamma, n = Fraction(mdp.gamma), len(h)
+    rows = [[Fraction(int(i == j)) for j in range(n)] + [-c[i]] for i in range(n)]
+    for i in range(n):  # (I - gamma P) v = r, augmented with r
+        rows[i][n - 1] -= gamma * h[i]
+        rows[i][i] -= gamma * (1 - h[i]) * (1 - g[i])
+        if i:
+            rows[i][i - 1] -= gamma * (1 - h[i]) * g[i]
+    for col in range(n):  # Gauss-Jordan; the matrix is diagonally dominant
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestStructuredAgainstDense:
+    @pytest.mark.parametrize("edge", list(EDGES))
+    def test_values_agree_at_the_edges_of_the_validated_space(self, edge):
+        mdp = load_config(None, EDGES[edge]).mdp()
+        for tau in edge_taus(mdp.space):
+            structured = evaluate_threshold_policy(mdp, tau).values
+            dense = evaluate_policy(mdp, Policy.threshold(mdp.space, tau)).values
+            bound = 2.0 * policy_module._residual_bound(mdp, np.abs(dense).max())
+            bound /= 1.0 - mdp.gamma
+            assert np.abs(structured - dense).max() <= bound, tau
+            held = mdp.space.levels <= tau
+            assert held.sum() == 0 or np.ptp(structured[held]) == 0.0
+
+    def test_at_gamma_09999_the_structured_values_are_the_closer_ones(self):
+        # dense and structured differ in the 12th digit here (-481419.370777
+        # and ...778); the exact solve of the same float inputs reads
+        # -481419.3707777, so the dense solve carries the larger error
+        mdp = load_config(None, EDGES["patient, costly effort"]).mdp()
+        tau = optimal_threshold(mdp)
+        exact = exact_threshold_values(mdp, tau)
+        structured = evaluate_threshold_policy(mdp, tau).values
+        dense = evaluate_policy(mdp, Policy.threshold(mdp.space, tau)).values
+        err_structured = [abs(Fraction(x) - y) for x, y in zip(structured, exact)]
+        err_dense = [abs(Fraction(x) - y) for x, y in zip(dense, exact)]
+        assert all(s < d for s, d in zip(err_structured, err_dense))
+        scale = float(mdp.cost.value(mdp.actions.e_max)) / (1.0 - mdp.gamma)
+        assert float(max(err_structured)) <= policy_module._residual_bound(mdp, scale)
+        assert "%.12g" % structured[0] == "%.12g" % float(exact[0]) == "-481419.370778"
 
 
 class TestQValues:

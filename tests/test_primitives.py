@@ -5,6 +5,7 @@ closed forms; the tests only trust that independent arithmetic.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +110,47 @@ class TestCostModel:
     def test_rejects_negative_effort(self, cost):
         with pytest.raises(DomainError):
             cost.value(-1.0)
+
+
+BAD_EFFORTS = [np.nan, np.inf, -np.inf, -1.0, -1e-300]
+FORMS = {
+    "float": lambda x: x,
+    "0-d array": lambda x: np.array(x),
+    "list": lambda x: [0.5, x],
+    "array": lambda x: np.array([0.5, x]),
+}
+
+
+class TestEffortChecks:
+    """Every model method rejects the same efforts, whatever shape they come in."""
+
+    @pytest.mark.parametrize("form", list(FORMS))
+    @pytest.mark.parametrize("bad", BAD_EFFORTS)
+    def test_rejects_nan_infinite_and_negative_effort(self, harm, cost, welfare, form, bad):
+        e = FORMS[form](bad)
+        message = re.escape(f"effort must be finite and non-negative, got {e!r}")
+        for method in (harm.prob, harm.derivative, cost.value, cost.derivative,
+                       welfare.expected_welfare, welfare.marginal_welfare):
+            with pytest.raises(DomainError, match=message):
+                method(e)
+
+    @pytest.mark.parametrize("form", list(FORMS))
+    def test_accepts_zero_effort_in_every_form(self, harm, cost, form):
+        e = FORMS[form](0.0)
+        assert np.all(np.asarray(harm.prob(e)) == np.asarray(harm.prob(np.asarray(e))))
+        assert np.asarray(cost.value(e)).shape == np.shape(e)
+        assert cost.value(-0.0) == 0.0
+
+    def test_an_empty_array_passes_as_before(self, harm, cost):
+        for e in (np.array([]), []):
+            assert harm.prob(e).shape == (0,)
+            assert cost.value(e).shape == (0,)
+
+    def test_a_numpy_scalar_takes_the_float_path(self, harm):
+        assert harm.prob(np.float64(0.5)) == harm.prob(0.5) == harm.prob(np.array(0.5))
+        assert isinstance(harm.prob(np.float64(0.5)), float)
+        with pytest.raises(DomainError, match=re.escape(f"got {np.float64(np.nan)!r}")):
+            harm.prob(np.float64(np.nan))
 
 
 class TestDriftModel:

@@ -1,8 +1,10 @@
-"""Verification suites report a solver postcondition that fires as a failure.
+"""Verification suites report a breached postcondition as a failure.
 
 Each fault below breaks one input of a solver so that the solver's own
-postcondition raises; the suite that owns the invariant must end with a
-failed check naming the case and quoting the solver, not with the error.
+postcondition raises, or, for the held-state spread that the suite checks
+itself, the dense values the suite reads; the suite that owns the invariant
+must end with a failed check naming the case and quoting the check, not with
+the error.
 """
 
 import numpy as np
@@ -21,9 +23,19 @@ def _rising_utility(regime, cost, e, e_c):
 
 
 def _spread_held_states(real):
+    # only the states that play the threshold move, each by its own amount
     def evaluate(mdp, policy):
         vf = real(mdp, policy)
-        return ValueFunction(mdp.space, vf.values - np.arange(mdp.space.n_states))
+        held = policy.efforts == policy.efforts[0]
+        return ValueFunction(mdp.space, vf.values - np.arange(mdp.space.n_states) * held)
+
+    return evaluate
+
+
+def _shift_structured_values(real):
+    # the held states still share one value, but not the dense solve's
+    def evaluate(mdp, tau):
+        return ValueFunction(mdp.space, real(mdp, tau).values - 1e-6)
 
     return evaluate
 
@@ -53,8 +65,13 @@ FAULTS = {
     ),
     "held-state spread": (
         lambda: verification.states_below_threshold_share_value(n_scenarios=1, seed=101),
-        policy_module, "evaluate_policy", _spread_held_states,
+        verification, "evaluate_policy", _spread_held_states,
         "case 0: tau", "states held at the threshold diverged",
+    ),
+    "structured values off the dense solve": (
+        lambda: verification.states_below_threshold_share_value(n_scenarios=1, seed=101),
+        verification, "evaluate_threshold_policy", _shift_structured_values,
+        "case 0: tau 0:", "dense and structured values differ",
     ),
 }
 
