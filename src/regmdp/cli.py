@@ -33,7 +33,7 @@ from .errors import (
     InsufficientMaxEffortError,
 )
 from .mdp import Policy, build_action_grid
-from .policy import evaluate_policy, evaluate_threshold_policy
+from .policy import evaluate_threshold_policy
 from .primitives import socially_optimal_effort
 from .simulate import _Z_95, agreement_z, estimate_value
 from .thresholds import (
@@ -282,7 +282,7 @@ def _cmd_simulate(config: Config):
         mdp, policy, start_level=start_level,
         n_episodes=config["episodes"], horizon=config["horizon"] or None, seed=config["seed"],
     )
-    analytic = float(evaluate_policy(mdp, policy)[mdp.space.index_of(start_level)])
+    analytic = float(evaluate_threshold_policy(mdp, stable)[mdp.space.index_of(start_level)])
     z = agreement_z(estimate, analytic)
     rows = [
         {

@@ -25,6 +25,18 @@ def _nearest(values: np.ndarray, x: float, message: str) -> int:
     return i
 
 
+def _distance_to(values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Distance from each entry of x to the nearest of the sorted values.
+
+    The nearest value sits on one side of x's insertion point, and |v - x|
+    rounds monotonically in v, so this is the minimum over all values.
+    """
+    j = np.searchsorted(values, x)
+    below = np.abs(values[np.maximum(j - 1, 0)] - x)
+    above = np.abs(values[np.minimum(j, values.size - 1)] - x)
+    return np.minimum(below, above)
+
+
 @dataclass(frozen=True, eq=False)
 class StateSpace:
     """Strictly increasing effort levels; the last one is the backlash state."""
@@ -127,14 +139,13 @@ def build_action_grid(e_max: float, step: float, levels=()) -> ActionGrid:
         base = np.append(base, e_max)
     lv = np.asarray(levels, dtype=float)
     if lv.size:
+        if np.isnan(lv).any():  # a NaN would pass the merge and the ceiling check
+            raise ConstructionError(f"state levels must be numbers, got {lv.tolist()}")
         if lv.max() > e_max + 1e-12:
             raise ConstructionError(
                 f"state level {lv.max()} exceeds the action ceiling {e_max}"
             )
-        keep = np.ones(base.size, dtype=bool)
-        for x in lv:
-            keep &= np.abs(base - x) > 1e-12
-        grid = np.sort(np.concatenate([base[keep], lv]))
+        grid = np.sort(np.concatenate([base[_distance_to(np.sort(lv), base) > 1e-12], lv]))
     else:
         grid = base
     return ActionGrid(grid, float(step))
@@ -203,8 +214,11 @@ class RegulationMdp:
             )
         if self.actions.e_max < self.space.backlash_level - 1e-12:
             raise ConstructionError("the action grid must reach the backlash level")
-        for lv in self.space.levels:
-            self.actions.require_member(float(lv))  # each level must sit on the grid
+        off = _distance_to(self.actions.efforts, self.space.levels) > _LEVEL_ATOL
+        if off.any():  # each level must sit on the grid; name the first that does not
+            raise DomainError(
+                f"effort {float(self.space.levels[off.argmax()])!r} is not on the action grid"
+            )
 
     def transition_distribution(self, e_c: float, e: float):
         """Support and probabilities of the next state, as (level, prob) pairs.

@@ -1,10 +1,13 @@
 """Exact policy evaluation, action values, and brute-force optimization.
 
 Threshold policies, the ones the solver scans, are evaluated in O(n) by a
-forward pass over the chain's structure (`evaluate_threshold_policy`). Any
-other policy is evaluated by solving the linear fixed point v = r + gamma P v
-densely (`evaluate_policy`), which also serves as the structured path's check
-in `verification`. Either way a value function is returned only once its
+forward pass over the chain's structure (`ThresholdChain`). The pass's
+threshold-independent tables are built once per solve, so each of a solve's
+candidate thresholds costs two scalar model calls and O(n) Python arithmetic;
+`evaluate_threshold_policy` builds them for one threshold. Any other policy
+is evaluated by solving the linear fixed point v = r + gamma P v densely
+(`evaluate_policy`), which also serves as the structured path's check in
+`verification`. Either way a value function is returned only once its
 Bellman residual is within rounding. Policy iteration over the full action
 grid is retained purely as an independent optimality oracle for cross-checks;
 nothing else depends on it.
@@ -13,6 +16,7 @@ All functions are pure functions of immutable inputs, so sweeps over policies
 or thresholds may run concurrently without coordination.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,37 +71,44 @@ def _residual_bound(mdp: RegulationMdp, scale: float) -> float:
     return (3 * mdp.space.n_states + 4) * float(np.spacing(scale))
 
 
-def _checked_values(mdp: RegulationMdp, v: np.ndarray, backup: np.ndarray) -> ValueFunction:
-    """v as a ValueFunction, once its Bellman residual and range pass.
+def _value_limits(mdp: RegulationMdp):
+    """(lowest value a policy may reach, largest Bellman residual an evaluation may leave).
 
-    backup is r + gamma P v recomputed from v. The residual |v - backup| in
-    every state must stay within (3n + 4) ulps of the value scale
-    cost(e_max) / (1 - gamma), and v within [that floor, 0].
+    The value floor is -cost(e_max) / (1 - gamma), less a relative 1e-8; the
+    residual bound is (3n + 4) ulps of that value scale. Values must also
+    stay at or below 0, give or take 1e-10.
     """
     floor = -float(mdp.cost.value(mdp.actions.e_max))
     if mdp.gamma > 0:
         floor /= 1.0 - mdp.gamma
-    residual = float(np.abs(v - backup).max())
-    if residual > _residual_bound(mdp, abs(floor)):
+    return floor - 1e-8 * (1.0 + abs(floor)), _residual_bound(mdp, abs(floor))
+
+
+def _check(residual: float, v_min: float, v_max: float, limits) -> None:
+    """Refuse values whose Bellman residual or range breaks `_value_limits`."""
+    low, bound = limits
+    if residual > bound:
         raise RuntimeError(f"policy evaluation left a Bellman residual of {residual:.3g}")
-    if v.min() < floor - 1e-8 * (1.0 + abs(floor)) or v.max() > 1e-10:
+    if v_min < low or v_max > 1e-10:
         raise RuntimeError("policy value escaped the feasible reward range")
-    return ValueFunction(mdp.space, v)
 
 
 def evaluate_policy(mdp: RegulationMdp, policy: Policy) -> ValueFunction:
     """Exact discounted value of a stationary policy, by a dense solve.
 
     Solves (I - gamma * P) v = r and refuses to return anything whose Bellman
-    residual in any state exceeds (3n + 4) ulps of the value scale
-    cost(e_max) / (1 - gamma), the rounding a dense solve may leave.
+    residual |v - (r + gamma P v)| in any state exceeds (3n + 4) ulps of the
+    value scale cost(e_max) / (1 - gamma), the rounding a dense solve may
+    leave, or whose values leave [-scale, 0].
     """
     _require_same_space(mdp, policy.space)
     r = -np.asarray(mdp.cost.value(policy.efforts))
     p = mdp.transition_matrix(policy.efforts)
     n = mdp.space.n_states
     v = np.linalg.solve(np.eye(n) - mdp.gamma * p, r)
-    return _checked_values(mdp, v, r + mdp.gamma * (p @ v))
+    residual = float(np.abs(v - (r + mdp.gamma * (p @ v))).max())
+    _check(residual, v.min(), v.max(), _value_limits(mdp))
+    return ValueFunction(mdp.space, v)
 
 
 def _backup(mdp: RegulationMdp, v: np.ndarray, i, h, c):
@@ -130,48 +141,100 @@ def q_value(mdp: RegulationMdp, vfun: ValueFunction, e_c: float, e: float) -> fl
     return float(_lookahead(mdp, vfun.values, mdp.space.index_of(e_c), e))
 
 
-def evaluate_threshold_policy(mdp: RegulationMdp, tau: float) -> ValueFunction:
-    """Value of the policy that plays max(tau, required effort) everywhere, in O(n).
+class ThresholdChain:
+    """Threshold-policy evaluation on one MDP, with its tau-independent work done once.
 
     With D_i = 1 - gamma (1 - h_i)(1 - g_i), each state i that complies has
     v_i = alpha_i + beta_i V_B + delta_i v_{i-1}, where alpha_i = -c_i / D_i,
-    beta_i = gamma h_i / D_i and delta_i = gamma (1 - h_i) g_i / D_i. The
-    states at or below tau all play tau and a harm event lands in the
-    backlash state wherever it happens, so they share one value
-    u + w V_B: u and w are state 0's alpha and beta, since g_0 = 0. One
-    forward pass carries v_i = a_i + b_i V_B, and s_i = 1 - b_i as the sum of
-    positive terms (1 - gamma) / D_i + delta_i s_{i-1}, so V_B = a / s at the
-    top state does not cancel as gamma nears 1.
-
-    The values must pass `evaluate_policy`'s Bellman-residual bound, with the
-    residual recomputed in O(n) from h, c and g, and its range check.
-    `verification.states_below_threshold_share_value` compares them with the
-    dense solve of the same policy.
+    beta_i = gamma h_i / D_i and delta_i = gamma (1 - h_i) g_i / D_i. A state
+    above the threshold plays its own level, so its coefficients, with
+    sigma_i = (1 - gamma) / D_i, h_i, c_i and g_i, are the same for every
+    threshold; so are the value floor and the residual bound. They are built
+    here once, by vectorised expressions, as Python float lists. `values`
+    then evaluates one threshold with two scalar model calls and O(n) Python
+    arithmetic, and no NumPy call over the states: `optimal_threshold` builds
+    one chain per solve and evaluates some 600 to 1,000 thresholds on it.
     """
-    if not 0.0 <= tau <= mdp.space.backlash_level + 1e-12:
-        raise DomainError(
-            f"threshold must lie in [0, {mdp.space.backlash_level}], got {tau}"
-        )
-    gamma, levels, g = mdp.gamma, mdp.space.levels, mdp.drift.probs
-    efforts = np.maximum(levels, tau)
-    h = mdp.harm.prob(efforts)
-    c = mdp.cost.value(efforts)
-    stay = gamma * (1.0 - h)
-    d = 1.0 - stay * (1.0 - g)
-    alpha, beta, delta = (-c / d).tolist(), (gamma * h / d).tolist(), (stay * g / d).tolist()
-    sigma = ((1.0 - gamma) / d).tolist()
-    # state 0 and the states held with it share state 0's coefficients
-    k = max(int(np.searchsorted(levels, tau, side="right")), 1)
-    a, b, s = alpha[0], beta[0], sigma[0]
-    coef_a, coef_b = [a] * k, [b] * k
-    for i in range(k, levels.size):
-        a = alpha[i] + delta[i] * a
-        b = beta[i] + delta[i] * b
-        s = sigma[i] + delta[i] * s
-        coef_a.append(a)
-        coef_b.append(b)
-    v = np.array(coef_a) + np.array(coef_b) * (a / s) + 0.0  # + 0.0 turns -0.0 into 0.0
-    return _checked_values(mdp, v, _backup(mdp, v, np.arange(levels.size), h, c))
+
+    __slots__ = ("mdp", "_levels", "_alpha", "_beta", "_delta", "_sigma", "_h", "_c", "_g",
+                 "_limits")
+
+    def __init__(self, mdp: RegulationMdp):
+        gamma, levels, g = mdp.gamma, mdp.space.levels, mdp.drift.probs
+        h = mdp.harm.prob(levels)
+        c = mdp.cost.value(levels)
+        stay = gamma * (1.0 - h)
+        d = 1.0 - stay * (1.0 - g)
+        self.mdp = mdp
+        self._levels = levels.tolist()
+        self._alpha, self._beta = (-c / d).tolist(), (gamma * h / d).tolist()
+        self._delta, self._sigma = (stay * g / d).tolist(), ((1.0 - gamma) / d).tolist()
+        self._h, self._c, self._g = h.tolist(), c.tolist(), g.tolist()
+        self._limits = _value_limits(mdp)
+
+    def values(self, tau: float) -> list:
+        """Values of the policy that plays max(tau, required effort) everywhere, in O(n).
+
+        The states at or below tau all play tau and a harm event lands in the
+        backlash state wherever it happens, so they share one value
+        u + w V_B: u and w are state 0's alpha and beta at effort tau, since
+        g_0 = 0. One forward pass carries v_i = a_i + b_i V_B, and s_i = 1 - b_i
+        as the sum of positive terms sigma_i + delta_i s_{i-1}, so V_B = a / s
+        at the top state does not cancel as gamma nears 1. The values must pass
+        `evaluate_policy`'s Bellman-residual bound, with r + gamma P v
+        recomputed in every state from h, c and g, and its range check. The
+        held states share v, h and c, and each drifts to a state of the same
+        value, so their r + gamma P v is one number, computed once.
+        """
+        mdp = self.mdp
+        if not 0.0 <= tau <= mdp.space.backlash_level + 1e-12:
+            raise DomainError(
+                f"threshold must lie in [0, {mdp.space.backlash_level}], got {tau}"
+            )
+        gamma, alpha, beta, sigma = mdp.gamma, self._alpha, self._beta, self._sigma
+        k = bisect_right(self._levels, tau)  # the states held at tau
+        if k:
+            h0, c0 = float(mdp.harm.prob(tau)), float(mdp.cost.value(tau))
+            stay = gamma * (1.0 - h0)
+            d = 1.0 - stay * (1.0 - self._g[0])
+            a, b, s = -c0 / d, gamma * h0 / d, (1.0 - gamma) / d
+        else:  # tau lies below every level: state 0 complies with its own
+            k, h0, c0 = 1, self._h[0], self._c[0]
+            a, b, s = alpha[0], beta[0], sigma[0]
+        a0, b0 = a, b
+        coef_a, coef_b = [], []
+        for al, be, de, si in zip(alpha[k:], beta[k:], self._delta[k:], sigma[k:]):
+            a = al + de * a
+            b = be + de * b
+            s = si + de * s
+            coef_a.append(a)
+            coef_b.append(b)
+        top = a / s
+        held = a0 + b0 * top + 0.0  # + 0.0 turns -0.0 into 0.0
+        above = [x + y * top + 0.0 for x, y in zip(coef_a, coef_b)]
+        vb = above[-1] if above else held
+        residual = abs(held - (gamma * (h0 * vb + (1.0 - h0) * held) - c0))
+        prev = held
+        for vi, hi, ci, gi in zip(above, self._h[k:], self._c[k:], self._g[k:]):
+            r = abs(vi - (gamma * (hi * vb + (1.0 - hi) * (gi * prev + (1.0 - gi) * vi)) - ci))
+            if r > residual:
+                residual = r
+            prev = vi
+        v = [held] * k + above
+        _check(residual, min(v), max(v), self._limits)
+        return v
+
+
+def evaluate_threshold_policy(mdp: RegulationMdp, tau: float) -> ValueFunction:
+    """Value of the policy that plays max(tau, required effort) everywhere, in O(n).
+
+    Builds the MDP's `ThresholdChain` and evaluates tau on it, so a caller
+    that evaluates many thresholds on one MDP builds the chain once instead.
+    The values pass `evaluate_policy`'s Bellman-residual bound and range
+    check; `verification.states_below_threshold_share_value` compares them
+    with the dense solve of the same policy.
+    """
+    return ValueFunction(mdp.space, ThresholdChain(mdp).values(tau))
 
 
 def _greedy(mdp: RegulationMdp, v: np.ndarray):

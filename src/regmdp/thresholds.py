@@ -19,7 +19,7 @@ from .errors import (
     InsufficientMaxEffortError,
 )
 from .mdp import ActionGrid, RegulationMdp, StateSpace, build_action_grid
-from .policy import evaluate_threshold_policy
+from .policy import ThresholdChain, evaluate_threshold_policy
 from .primitives import (
     CostModel, DriftModel, HarmModel, WelfareModel, _bisect, socially_optimal_effort,
 )
@@ -118,7 +118,7 @@ def static_optimal_effort(
 # ---------------------------------------------------------------------------
 
 
-def _hold_margin(mdp: RegulationMdp, e: float) -> float:
+def _hold_margin(chain: ThresholdChain, e: float) -> float:
     """Margin by which holding effort e beats letting the requirement slide.
 
     Positive means every state below e prefers holding e to any lower effort;
@@ -129,9 +129,11 @@ def _hold_margin(mdp: RegulationMdp, e: float) -> float:
     gap + c'(e) / (gamma * h'(e)) >= 0. That condition is multiplied through
     by -gamma * h'(e) >= 0 rather than divided by h'(e), which underflows to
     zero on steep harm curves; a zero slope then reads as "holding never pays".
+    The values come from the solve's chain, whose tables are built once.
     """
-    vf = evaluate_threshold_policy(mdp, e)
-    gap = vf[0] - vf.at_backlash
+    mdp = chain.mdp
+    v = chain.values(e)
+    gap = v[0] - v[-1]
     return -mdp.gamma * float(mdp.harm.derivative(e)) * gap - float(mdp.cost.derivative(e))
 
 
@@ -140,16 +142,18 @@ def optimal_threshold(mdp: RegulationMdp, refine_tol: float = 1e-6) -> float:
 
     Scans every action-grid effort up to the backlash level for the hold
     condition, then refines the last sign change by bisection on the
-    continuous margin down to refine_tol. Returns 0 when the condition holds
-    nowhere (then complying exactly is already optimal), which includes every
-    myopic platform (gamma == 0).
+    continuous margin down to refine_tol. The scan and the bisection evaluate
+    every threshold on one `ThresholdChain`, built once per solve. Returns 0
+    when the condition holds nowhere (then complying exactly is already
+    optimal), which includes every myopic platform (gamma == 0).
     """
     if not refine_tol > 0:
         raise DomainError(f"refine_tol must be positive, got {refine_tol}")
     if mdp.gamma == 0.0:
         return 0.0
+    chain = ThresholdChain(mdp)
     cand = mdp.actions.efforts[mdp.actions.efforts <= mdp.space.backlash_level + 1e-12]
-    margins = np.array([_hold_margin(mdp, float(e)) for e in cand])
+    margins = np.array([_hold_margin(chain, e) for e in cand.tolist()])
     holds = margins >= 0.0
     if not holds.any():
         return 0.0
@@ -157,7 +161,7 @@ def optimal_threshold(mdp: RegulationMdp, refine_tol: float = 1e-6) -> float:
     if i == cand.size - 1:
         return float(cand[-1])
     lo, hi = float(cand[i]), float(cand[i + 1])  # margin(lo) >= 0 > margin(hi)
-    return _bisect(lambda e: _hold_margin(mdp, e) >= 0.0, lo, hi, refine_tol)
+    return _bisect(lambda e: _hold_margin(chain, e) >= 0.0, lo, hi, refine_tol)
 
 
 def overreaction_gap(mdp: RegulationMdp, welfare: WelfareModel) -> float:

@@ -15,6 +15,7 @@ from regmdp import (
     build_action_grid,
     build_state_space,
 )
+from regmdp.verification import random_levels
 
 
 class TestStateSpace:
@@ -79,6 +80,10 @@ class TestActionGrid:
         with pytest.raises(ConstructionError):
             build_action_grid(1.0, 1e-3, (1.2,))
 
+    def test_rejects_nan_levels(self):
+        with pytest.raises(ConstructionError, match="must be numbers"):
+            build_action_grid(1.0, 0.25, [0.5, float("nan")])
+
     def test_rejects_malformed_grids(self):
         with pytest.raises(ConstructionError):
             ActionGrid(np.array([0.1, 0.5]), 0.4)  # must start at zero
@@ -91,6 +96,56 @@ class TestActionGrid:
         grid = build_action_grid(1.0, 1e-3)
         with pytest.raises(DomainError):
             grid.require_member(0.00051)
+
+
+def merged_by_loop(e_max, step, levels):
+    """build_action_grid's merge one level at a time, the reference for its one-pass merge."""
+    base = build_action_grid(e_max, step).efforts
+    lv = np.asarray(levels, dtype=float)
+    keep = np.ones(base.size, dtype=bool)
+    for x in lv:
+        keep &= np.abs(base - x) > 1e-12
+    return np.sort(np.concatenate([base[keep], lv]))
+
+
+def require_members_by_loop(actions, levels):
+    """RegulationMdp's grid-membership check one level at a time, its reference."""
+    for lv in levels:
+        actions.require_member(float(lv))
+
+
+# uniform levels, random levels, and levels from 0.3 with one 5e-13 off a grid point
+LEVEL_KINDS = {
+    "uniform": np.linspace(0.0, 0.85, 11),
+    "random": random_levels(np.random.default_rng(0), 31, 0.9),
+    "state_min 0.3, near a grid point": np.array([0.3, 0.41, 0.5 + 5e-13, 0.77, 1.0]),
+}
+
+
+class TestOnePassConstruction:
+    @pytest.mark.parametrize("kind", list(LEVEL_KINDS))
+    def test_merged_grid_matches_the_per_level_loop(self, kind):
+        levels = LEVEL_KINDS[kind]
+        for step in (1e-3, 0.07):
+            grid = build_action_grid(1.0, step, levels).efforts
+            assert grid.tobytes() == merged_by_loop(1.0, step, levels).tobytes()
+
+    @pytest.mark.parametrize("kind", list(LEVEL_KINDS))
+    @pytest.mark.parametrize("shift", [0.0, 5e-10, 2e-9])
+    def test_membership_check_matches_the_per_level_loop(self, kind, shift, harm, cost):
+        # levels against a grid that did not merge them: within 1e-9 of a
+        # grid point passes, and the first level further off is the one named
+        levels = LEVEL_KINDS[kind] + shift
+        actions = build_action_grid(1.1, 1e-3)
+        drift = DriftModel.constant(0.3, levels.size)
+        try:
+            require_members_by_loop(actions, levels)
+        except DomainError as err:
+            with pytest.raises(DomainError) as raised:
+                RegulationMdp(StateSpace(levels), actions, harm, cost, drift, 0.9)
+            assert str(raised.value) == str(err)
+        else:
+            RegulationMdp(StateSpace(levels), actions, harm, cost, drift, 0.9)
 
 
 class TestPolicy:
@@ -135,6 +190,12 @@ class TestRegulationMdp:
         grid = ActionGrid(np.array([0.0, 1.0]), 1.0)  # reaches the top but skips levels
         with pytest.raises(DomainError):
             RegulationMdp(space, grid, harm, cost, drift, 0.9)
+
+    def test_names_the_first_level_off_the_grid(self, harm, cost):
+        space = StateSpace([0.0, 0.25, 0.3333, 0.5, 0.6666, 1.0])
+        with pytest.raises(DomainError, match=r"^effort 0\.3333 is not on the action grid$"):
+            RegulationMdp(space, build_action_grid(1.0, 0.05), harm, cost,
+                          DriftModel.constant(0.3, 6), 0.9)
 
     def test_rejects_grid_below_backlash(self, space, harm, cost, drift):
         grid = build_action_grid(0.5, 1e-3)

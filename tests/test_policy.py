@@ -1,5 +1,6 @@
 """Exact evaluation, action values, and the brute-force optimality oracle."""
 
+import hashlib
 import pathlib
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from regmdp import (
     value_iteration,
 )
 from regmdp.thresholds import optimal_threshold
+from regmdp.verification import random_mdp
 
 DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
 
@@ -114,21 +116,39 @@ class TestThresholdEvaluation:
             evaluate_threshold_policy(mdp, -0.1)
 
     def test_a_backup_off_by_more_than_rounding_is_refused(self, mdp, monkeypatch):
-        backup = policy_module._backup
-        monkeypatch.setattr(policy_module, "_backup", lambda *args: backup(*args) + 1e-6)
+        _overcharge(monkeypatch)
         with pytest.raises(RuntimeError, match="Bellman residual"):
             evaluate_threshold_policy(mdp, 0.45)
+
+    def test_every_scan_candidate_passes_the_residual_check(self, mdp, monkeypatch):
+        # optimal_threshold evaluates its candidates on one chain, not through
+        # evaluate_threshold_policy, and still refuses a backup that is off
+        _overcharge(monkeypatch)
+        with pytest.raises(RuntimeError, match="Bellman residual"):
+            optimal_threshold(mdp)
 
     @pytest.mark.parametrize("evaluate", [
         evaluate_threshold_policy,
         lambda mdp, tau: evaluate_policy(mdp, Policy.threshold(mdp.space, tau)),
-    ], ids=["structured", "dense"])
+        lambda mdp, tau: optimal_threshold(mdp),
+    ], ids=["structured", "dense", "scan"])
     def test_values_outside_the_reward_range_are_refused(self, mdp, evaluate):
         # a cost curve that pays out makes every value positive
         paid = RegulationMdp(mdp.space, mdp.actions, mdp.harm, _Payout(mdp.cost),
                              mdp.drift, mdp.gamma)
         with pytest.raises(RuntimeError, match="feasible reward range"):
             evaluate(paid, 0.45)
+
+
+def _overcharge(monkeypatch):
+    """Make each chain's backup charge the states above tau 1e-6 more than their values paid."""
+    build = policy_module.ThresholdChain.__init__
+
+    def overcharging(self, mdp):
+        build(self, mdp)
+        self._c = [c + 1e-6 for c in self._c]
+
+    monkeypatch.setattr(policy_module.ThresholdChain, "__init__", overcharging)
 
 
 class _Payout:
@@ -212,6 +232,61 @@ class TestStructuredAgainstDense:
         scale = float(mdp.cost.value(mdp.actions.e_max)) / (1.0 - mdp.gamma)
         assert float(max(err_structured)) <= policy_module._residual_bound(mdp, scale)
         assert "%.12g" % structured[0] == "%.12g" % float(exact[0]) == "-481419.370778"
+
+
+# the stable effort as float hex, and a digest of the float hex of the values
+# under it, that optimal_threshold and evaluate_threshold_policy return on 20
+# seeded random_mdp draws and on the edge configs; a change to the solver's
+# arithmetic must reproduce them bit for bit
+SEED_GOLDEN = {
+    0: ("0x1.29f374bc6a7f0p-3", "92851bb3acbfbeb7"),
+    1: ("0x1.0df9fbe76c8b4p-2", "830535c3c3e927e4"),
+    2: ("0x0.0p+0", "00f86f9be47eb35e"),
+    3: ("0x0.0p+0", "e6ef692fa8fa67b7"),
+    4: ("0x1.0eca1cac08312p-2", "809c0fe1f1bd716e"),
+    5: ("0x1.dc1e353f7ced9p-4", "0868bd02c22fa6a9"),
+    6: ("0x1.46883126e978ep-5", "53e776b35752eb6b"),
+    7: ("0x1.4bebc6a7ef9dcp-3", "ebe5a25743379882"),
+    8: ("0x1.2673b645a1cacp-5", "b59aa4dee5b38fa0"),
+    9: ("0x1.50689374bc6a8p-2", "e577a1fb69d48247"),
+    10: ("0x1.fdfc6a7ef9db2p-4", "95ef3dc10a6350d4"),
+    11: ("0x1.c20e560418937p-6", "5210e9cf0bb5798c"),
+    12: ("0x1.18b04189374bcp-2", "21c8a10335e42ff9"),
+    13: ("0x1.614f7ced91688p-2", "c3802a4554bede7e"),
+    14: ("0x1.8a0810624dd30p-2", "4308e0586885c18e"),
+    15: ("0x1.4afced916872cp-5", "5c77744129847680"),
+    16: ("0x1.0f6e560418938p-3", "7f8b0e84011df38f"),
+    17: ("0x0.0p+0", "1a4d8907791c9e02"),
+    18: ("0x1.2715c28f5c290p-3", "3f6ce4e503ab0a70"),
+    19: ("0x1.d051a9fbe76cap-3", "474082f17172af5b"),
+}
+EDGE_GOLDEN = {
+    "gamma 0.9999": ("0x1.fd478d4fdf3b6p-2", "ae3cf6f6ca834e9b"),
+    "201 states, gamma 0.9999": ("0x1.21af4bc6a7efbp-1", "bbc1673aea9dc437"),
+    "1001 states": ("0x1.f994dd2f1a9fcp-2", "53bd7fbd063a5355"),
+    "drift 0": ("0x1.fa2851eb851eap-2", "052ec6a987218d97"),
+    "drift 1": ("0x1.8ab76c8b43958p-2", "8d5543ae84734606"),
+    "k 1e4": ("0x1.3d4fdf3b645a3p-10", "9b9a39e4d10d7496"),
+    "h_max 1": ("0x1.db951eb851ebap-2", "70366f91c19a8d1f"),
+    "state_min 0.3": ("0x1.d851cac083128p-2", "775dddaf5bc6f7f8"),
+    "patient, costly effort": ("0x1.8751810624dd4p+0", "09894825c1cf1832"),
+}
+
+
+def _stable_hex(mdp):
+    stable = optimal_threshold(mdp)
+    values = " ".join(float(x).hex() for x in evaluate_threshold_policy(mdp, stable).values)
+    return stable.hex(), hashlib.sha256(values.encode()).hexdigest()[:16]
+
+
+class TestStableEffortGolden:
+    @pytest.mark.parametrize("seed", list(SEED_GOLDEN))
+    def test_random_draws(self, seed):
+        assert _stable_hex(random_mdp(np.random.default_rng(seed))) == SEED_GOLDEN[seed]
+
+    @pytest.mark.parametrize("edge", list(EDGE_GOLDEN))
+    def test_edges_of_the_validated_space(self, edge):
+        assert _stable_hex(load_config(None, EDGES[edge]).mdp()) == EDGE_GOLDEN[edge]
 
 
 class TestQValues:

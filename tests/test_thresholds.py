@@ -109,11 +109,13 @@ class TestOptimalThreshold:
         assert stable == pytest.approx(0.45075146484375, abs=1e-5)
 
     def test_stable_effort_is_where_holding_stops_paying(self, mdp):
+        from regmdp.policy import ThresholdChain
         from regmdp.thresholds import _hold_margin
 
         stable = optimal_threshold(mdp)
-        assert _hold_margin(mdp, stable - 1e-3) > 0
-        assert _hold_margin(mdp, stable + 1e-3) < 0
+        chain = ThresholdChain(mdp)
+        assert _hold_margin(chain, stable - 1e-3) > 0
+        assert _hold_margin(chain, stable + 1e-3) < 0
 
     def test_myopic_platform_holds_nothing(self, mdp):
         m0 = RegulationMdp(mdp.space, mdp.actions, mdp.harm, mdp.cost, mdp.drift, 0.0)
