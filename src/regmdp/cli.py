@@ -6,9 +6,9 @@ settings, library versions, and headline results so a run can be replayed
 byte-for-byte.
 
 Exit codes: 0 clean, 1 a verdict or feasibility check failed, 2 bad
-configuration or arguments or an --out path that cannot be written,
-3 unexpected internal error. `simulate` and `verify` both run their Monte
-Carlo estimates at the configured `episodes`.
+configuration or arguments, a model the config cannot build, or an --out
+path that cannot be written, 3 unexpected internal error. `simulate` and
+`verify` both run their Monte Carlo estimates at the configured `episodes`.
 """
 
 import argparse
@@ -377,7 +377,7 @@ def run(argv: list | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (DomainError, FeasibilityError, HorizonTooShortError) as err:
+    except (ConstructionError, DomainError, FeasibilityError, HorizonTooShortError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2
     except Exception:

@@ -2,10 +2,14 @@
 
 A config file is a single JSON object of scalar values. Unknown keys are
 rejected and every violation is collected before raising, so one pass
-reports all problems.
+reports all problems. Each numeric key has one rule in `_RULES`; the
+orderings between keys are checked only over values that passed their own
+rule, so one mistake gives one message.
 """
 
 import json
+import operator
+import sys
 
 from .errors import ConfigError
 from .mdp import RegulationMdp, StateSpace, build_action_grid, build_state_space
@@ -43,11 +47,35 @@ DEFAULTS = {
 }
 
 _INT_KEYS = {"state_count", "seed", "static_draws", "episodes", "horizon", "verify_scenarios"}
-_POSITIVE = {
-    "k", "cost_a", "cost_b", "cost_a2", "cost_b2", "backlash_effort",
-    "effort_max", "action_step", "refine_tol", "fine", "fail_beta",
+
+# the one rule of each numeric key: (test, what its message says the key must do)
+_RULES = {
+    "h_min": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
+    "h_max": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
+    "gamma": (lambda v: 0 <= v < 1, "must lie in [0, 1)"),
+    "fail_p0": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
+    "state_count": (lambda v: v >= 2, "must be at least 2"),
+    **dict.fromkeys(("drift", "audit_prob"), (lambda v: 0 <= v <= 1, "must lie in [0, 1]")),
+    **dict.fromkeys(
+        ("k", "cost_a", "cost_b", "cost_a2", "cost_b2", "backlash_effort", "effort_max",
+         "action_step", "refine_tol", "fine", "fail_beta"),
+        (lambda v: v > 0, "must be positive"),
+    ),
+    **dict.fromkeys(
+        ("damage", "state_min", "seed", "horizon", "start_state"),
+        (lambda v: v >= 0, "must be non-negative"),
+    ),
+    **dict.fromkeys(
+        ("static_draws", "episodes", "verify_scenarios"), (lambda v: v >= 1, "must be at least 1")
+    ),
 }
-_NONNEGATIVE = {"damage", "state_min", "drift", "audit_prob"}
+
+# (lower key, upper key, test, relation): checked once both keys pass their own rule
+_ORDERINGS = (
+    ("h_min", "h_max", operator.lt, "must be below"),
+    ("backlash_effort", "effort_max", operator.le, "must not exceed"),
+    ("state_min", "backlash_effort", operator.lt, "must be below"),
+)
 
 
 class Config(dict):
@@ -90,72 +118,33 @@ class Config(dict):
         return StaticRegime(self["audit_prob"], self["fine"], fam)
 
 
-def _validate(settings: dict) -> list:
-    problems = []
+def _validate(settings: dict) -> tuple[list, dict]:
+    """Violations, and each numeric key that passed its rule, integer keys as int."""
+    problems, passed = [], {}
     for key, value in settings.items():
         if key == "fail_model":
             if value not in ("step", "ramp"):
                 problems.append(f"fail_model must be 'step' or 'ramp', got {value!r}")
-            continue
-        if key == "start_state":
-            if value is not None and not isinstance(value, (int, float)):
-                problems.append(f"start_state must be a number or null, got {value!r}")
-            continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            problems.append(f"{key} must be a number, got {value!r}")
-            continue
-        if key in _INT_KEYS and int(value) != value:
+        elif key == "start_state" and value is None:
+            pass  # null starts simulate at the backlash level
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            kind = "a number or null" if key == "start_state" else "a number"
+            problems.append(f"{key} must be {kind}, got {value!r}")
+        elif not abs(value) <= sys.float_info.max:  # NaN, +-inf, or an int no float can hold
+            problems.append(f"{key} must be finite, got {value!r}")
+        elif key in _INT_KEYS and int(value) != value:
             problems.append(f"{key} must be an integer, got {value!r}")
-        if key in _POSITIVE and not value > 0:
-            problems.append(f"{key} must be positive, got {value!r}")
-        if key in _NONNEGATIVE and not value >= 0:
-            problems.append(f"{key} must be non-negative, got {value!r}")
-
-    def num(key):
-        v = settings.get(key)
-        return v if isinstance(v, (int, float)) and not isinstance(v, bool) else None
-
-    h_min, h_max = num("h_min"), num("h_max")
-    if h_min is not None and not 0 < h_min < 1:
-        problems.append(f"h_min must lie in (0, 1), got {h_min!r}")
-    if h_max is not None and not 0 < h_max <= 1:
-        problems.append(f"h_max must lie in (0, 1], got {h_max!r}")
-    if h_min is not None and h_max is not None and 0 < h_min < 1 and h_min >= h_max:
-        problems.append(f"h_min ({h_min!r}) must be below h_max ({h_max!r})")
-    gamma = num("gamma")
-    if gamma is not None and not 0 <= gamma < 1:
-        problems.append(f"gamma must lie in [0, 1), got {gamma!r}")
-    for key in ("drift", "audit_prob"):
-        v = num(key)
-        if v is not None and not 0 <= v <= 1:
-            problems.append(f"{key} must lie in [0, 1], got {v!r}")
-    p0 = num("fail_p0")
-    if p0 is not None and not 0 < p0 <= 1:
-        problems.append(f"fail_p0 must lie in (0, 1], got {p0!r}")
-    count = num("state_count")
-    if count is not None and count == int(count) and count < 2:
-        problems.append(f"state_count must be at least 2, got {int(count)}")
-    for key in ("static_draws", "episodes", "verify_scenarios"):
-        v = num(key)
-        if v is not None and v == int(v) and v < 1:
-            problems.append(f"{key} must be at least 1, got {int(v)}")
-    horizon = num("horizon")
-    if horizon is not None and horizon == int(horizon) and horizon < 0:
-        problems.append(f"horizon must be non-negative, got {int(horizon)}")
-    start = settings.get("start_state")
-    if isinstance(start, (int, float)) and not isinstance(start, bool) and start < 0:
-        problems.append(f"start_state must be non-negative, got {start!r}")
-    b, e = num("backlash_effort"), num("effort_max")
-    if b is not None and e is not None and b > e:
-        problems.append(
-            f"backlash_effort ({b!r}) must not exceed effort_max ({e!r})"
-        )
-    s, b2 = num("state_min"), num("backlash_effort")
-    if s is not None and b2 is not None and s >= b2:
-        problems.append(
-            f"state_min ({s!r}) must be below backlash_effort ({b2!r})"
-        )
-    return problems
+        else:
+            value = int(value) if key in _INT_KEYS else value
+            holds, text = _RULES[key]
+            if holds(value):
+                passed[key] = value
+            else:
+                problems.append(f"{key} {text}, got {value!r}")
+    for lo, hi, holds, relation in _ORDERINGS:
+        if lo in passed and hi in passed and not holds(passed[lo], passed[hi]):
+            problems.append(f"{lo} ({passed[lo]!r}) {relation} {hi} ({passed[hi]!r})")
+    return problems, passed
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> Config:
@@ -180,10 +169,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Confi
         problems += [f"unknown key: {key}" for key in unknown]
         settings.update({k: v for k, v in overrides.items() if k in DEFAULTS})
 
-    problems += _validate(settings)
-    if problems:
-        raise ConfigError(problems)
-
-    for key in _INT_KEYS:
-        settings[key] = int(settings[key])
-    return Config(settings)
+    invalid, checked = _validate(settings)
+    if problems + invalid:
+        raise ConfigError(problems + invalid)
+    return Config(settings, **checked)

@@ -18,9 +18,12 @@ _LEVEL_ATOL = 1e-9
 
 
 def _nearest(values: np.ndarray, x: float, message: str) -> int:
-    """Index of the entry within 1e-9 of x; otherwise DomainError(message.format(x))."""
+    """Index of the entry within 1e-9 of x; otherwise DomainError(message.format(x)).
+
+    A NaN x fails the comparison, so it matches no entry.
+    """
     i = int(np.argmin(np.abs(values - x)))
-    if abs(values[i] - x) > _LEVEL_ATOL:
+    if not abs(values[i] - x) <= _LEVEL_ATOL:
         raise DomainError(message.format(x))
     return i
 
@@ -106,6 +109,11 @@ class ActionGrid:
             raise ConstructionError("an action grid needs at least two efforts")
         if arr[0] != 0.0:
             raise ConstructionError("the action grid must start at zero effort")
+        bad = ~np.isfinite(arr)  # a NaN or inf passes the increase check below
+        if bad.any():
+            raise ConstructionError(
+                f"action efforts must be finite, got {float(arr[bad.argmax()])!r}"
+            )
         if np.any(np.diff(arr) <= 0):
             raise ConstructionError("action efforts must be strictly increasing")
         if not self.step > 0:

@@ -54,8 +54,8 @@ class HarmModel:
             raise ConstructionError(
                 f"h_max must lie in (h_min, 1], got h_max={self.h_max} with h_min={self.h_min}"
             )
-        if not self.k > 0:
-            raise ConstructionError(f"decay rate k must be positive, got {self.k}")
+        if not 0 < self.k < math.inf:
+            raise ConstructionError(f"decay rate k must be positive and finite, got {self.k}")
 
     def prob(self, e):
         e = _effort_array(e)
@@ -77,10 +77,14 @@ class CostModel:
     b: float
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ConstructionError(f"quadratic coefficient a must be positive, got {self.a}")
-        if not self.b > 0:
-            raise ConstructionError(f"linear coefficient b must be positive, got {self.b}")
+        if not 0 < self.a < math.inf:
+            raise ConstructionError(
+                f"quadratic coefficient a must be positive and finite, got {self.a}"
+            )
+        if not 0 < self.b < math.inf:
+            raise ConstructionError(
+                f"linear coefficient b must be positive and finite, got {self.b}"
+            )
 
     def value(self, e):
         e = _effort_array(e)
@@ -144,8 +148,8 @@ class WelfareModel:
     damage: float
 
     def __post_init__(self):
-        if not self.damage >= 0:
-            raise ConstructionError(f"damage must be non-negative, got {self.damage}")
+        if not 0 <= self.damage < math.inf:
+            raise ConstructionError(f"damage must be finite and non-negative, got {self.damage}")
 
     def expected_welfare(self, e):
         e = _effort_array(e)

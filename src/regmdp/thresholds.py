@@ -72,8 +72,8 @@ class StaticRegime:
     def __post_init__(self):
         if not 0.0 <= self.audit_prob <= 1.0:
             raise ConstructionError(f"audit_prob must lie in [0, 1], got {self.audit_prob}")
-        if not self.fine >= 0:
-            raise ConstructionError(f"fine must be non-negative, got {self.fine}")
+        if not 0 <= self.fine < math.inf:
+            raise ConstructionError(f"fine must be finite and non-negative, got {self.fine}")
 
 
 def static_expected_utility(regime: StaticRegime, cost: CostModel, e, e_c: float):

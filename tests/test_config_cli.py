@@ -81,6 +81,23 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="start_state"):
             load_config(None, {"start_state": "hmm"})
 
+    @pytest.mark.parametrize("settings, message", [
+        ({"drift": -0.1}, "drift must lie in [0, 1], got -0.1"),
+        ({"audit_prob": -1}, "audit_prob must lie in [0, 1], got -1"),
+        # a key that fails its own rule takes no part in an ordering between keys
+        ({"effort_max": -1}, "effort_max must be positive, got -1"),
+        ({"h_max": 0}, "h_max must lie in (0, 1], got 0"),
+        ({"state_count": 1.0}, "state_count must be at least 2, got 1"),
+        ({"horizon": -3.0}, "horizon must be non-negative, got -3"),
+        ({"seed": -1}, "seed must be non-negative, got -1"),
+        ({"k": float("inf")}, "k must be finite, got inf"),
+        ({"start_state": True}, "start_state must be a number or null, got True"),
+    ])
+    def test_one_mistake_gives_one_message(self, settings, message):
+        with pytest.raises(ConfigError) as exc:
+            load_config(None, settings)
+        assert exc.value.violations == [message]
+
     def test_integer_keys_are_coerced(self):
         cfg = load_config(None, {"episodes": 5000.0})
         assert cfg["episodes"] == 5000 and isinstance(cfg["episodes"], int)
@@ -384,6 +401,64 @@ class TestCliCommands:
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])
         assert exc.value.code == 2
+
+
+SUBCOMMANDS = ["welfare", "solve", "design-backlash", "static", "impossibility", "simulate"]
+
+
+class TestExitCodeSweep:
+    """Configs written as JSON text end in exit 0, 1 or 2, never 3.
+
+    Python's json reads the NaN and Infinity tokens, so they reach validation.
+    """
+
+    @staticmethod
+    def run_text(tmp_path, capsys, command, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        code = run([command, "--config", str(path), "--episodes", "2000"])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    @pytest.mark.parametrize("text, key", [
+        ('{"seed": Infinity}', "seed"),
+        ('{"state_count": NaN}', "state_count"),
+        ('{"seed": -1}', "seed"),
+        ('{"k": Infinity}', "k"),
+        ('{"start_state": NaN}', "start_state"),
+        ('{"start_state": true}', "start_state"),
+        ('{"fine": 1' + "0" * 400 + "}", "fine"),  # an int beyond the float range
+    ])
+    def test_a_rejected_config_exits_two(self, tmp_path, capsys, command, text, key):
+        code, err = self.run_text(tmp_path, capsys, command, text)
+        assert code == 2, err
+        assert err.startswith(f"config error: {key} must be ")
+
+    @pytest.mark.parametrize("command, expected", [
+        ("welfare", 0), ("solve", 2), ("design-backlash", 2),
+        ("static", 2), ("impossibility", 0), ("simulate", 2),
+    ])
+    def test_a_state_space_that_cannot_be_built_is_an_input_error(self, tmp_path, capsys,
+                                                                   command, expected):
+        # the config loads, but linspace rounds neighbouring levels together;
+        # welfare and impossibility build no state space
+        text = '{"state_min": 0.5, "backlash_effort": 0.5000000000001, "state_count": 1000}'
+        code, err = self.run_text(tmp_path, capsys, command, text)
+        assert code == expected, err
+        if expected == 2:
+            assert err == "input error: levels must be strictly increasing\n"
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    @pytest.mark.parametrize("text", [
+        '{"seed": 0, "start_state": 0, "horizon": 0}',
+        '{"state_count": 2, "drift": 1, "audit_prob": 0}',
+        '{"h_max": 1, "gamma": 0, "damage": 0}',
+        '{"start_state": 0.35, "seed": 1e15}',
+    ])
+    def test_an_accepted_edge_config_exits_zero_one_or_two(self, tmp_path, capsys, command,
+                                                           text):
+        code, err = self.run_text(tmp_path, capsys, command, text)
+        assert code in (0, 1, 2), err
 
 
 def run_in_child(*argv, timeout=60):

@@ -46,6 +46,8 @@ class TestStateSpace:
         assert space.index_of(0.5 + 1e-12) == 5
         with pytest.raises(DomainError):
             space.index_of(0.55)
+        with pytest.raises(DomainError):  # NaN is within 1e-9 of no level, not of the first
+            space.index_of(np.nan)
 
     def test_levels_are_read_only(self, space):
         with pytest.raises(ValueError):
@@ -91,11 +93,17 @@ class TestActionGrid:
             ActionGrid(np.array([0.0, 0.5]), 0.0)
         with pytest.raises(ConstructionError):
             ActionGrid(np.array([0.0]), 1.0)
+        # each passes the strict-increase check, and [0, 0.5, nan] would give e_max nan
+        for bad in ([0.0, 0.5, np.nan], [0.0, np.nan, 1.0], [0.0, 0.5, np.inf]):
+            with pytest.raises(ConstructionError, match="finite"):
+                ActionGrid(np.array(bad), 0.5)
 
     def test_require_member_rejects_offgrid(self):
         grid = build_action_grid(1.0, 1e-3)
         with pytest.raises(DomainError):
             grid.require_member(0.00051)
+        with pytest.raises(DomainError):
+            grid.require_member(np.nan)
 
 
 def merged_by_loop(e_max, step, levels):

@@ -67,6 +67,8 @@ class TestHarmModel:
             HarmModel(0.1, 1.1, 3.0)
         with pytest.raises(ConstructionError):
             HarmModel(0.1, 0.9, 0.0)
+        with pytest.raises(ConstructionError, match="finite"):  # its prob() would be NaN at 0
+            HarmModel(0.1, 0.9, np.inf)
 
     def test_rejects_bad_effort(self, harm):
         with pytest.raises(DomainError):
@@ -106,6 +108,10 @@ class TestCostModel:
             CostModel(0.5, 0.0)
         with pytest.raises(ConstructionError):
             CostModel(-0.5, 0.1)
+        with pytest.raises(ConstructionError, match="finite"):
+            CostModel(np.inf, 0.1)
+        with pytest.raises(ConstructionError, match="finite"):
+            CostModel(0.5, np.inf)
 
     def test_rejects_negative_effort(self, cost):
         with pytest.raises(DomainError):
@@ -199,6 +205,8 @@ class TestWelfareModel:
     def test_rejects_negative_damage(self, harm, cost):
         with pytest.raises(ConstructionError):
             WelfareModel(harm, cost, -1.0)
+        with pytest.raises(ConstructionError, match="finite"):
+            WelfareModel(harm, cost, np.inf)
 
 
 class TestSociallyOptimalEffort:

@@ -78,6 +78,8 @@ class TestSampleTrajectory:
             sample_trajectory(mdp, pol, seed=0, horizon=0)
         with pytest.raises(DomainError):
             sample_trajectory(mdp, pol, seed=0, horizon=10, start_level=0.123)
+        with pytest.raises(DomainError):  # not a silent start at state 0
+            sample_trajectory(mdp, pol, seed=0, horizon=10, start_level=np.nan)
 
 
 class TestHorizons:
@@ -372,3 +374,5 @@ class TestEstimateValue:
             estimate_value(mdp, pol, seed=-2)
         with pytest.raises(DomainError):
             estimate_value(mdp, pol, start_level=0.123)
+        with pytest.raises(DomainError):
+            estimate_value(mdp, pol, start_level=np.nan)

@@ -85,6 +85,8 @@ class TestStaticRegime:
             StaticRegime(1.5, 10.0)
         with pytest.raises(ConstructionError):
             StaticRegime(0.5, -1.0)
+        with pytest.raises(ConstructionError, match="finite"):
+            StaticRegime(0.5, np.inf)
 
     def test_harsh_fines_induce_exact_compliance(self, cost, actions):
         regime = StaticRegime(0.5, 10.0)
