@@ -54,7 +54,7 @@ _RULES = {
     "h_max": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
     "gamma": (lambda v: 0 <= v < 1, "must lie in [0, 1)"),
     "fail_p0": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
-    "state_count": (lambda v: v >= 2, "must be at least 2"),
+    **dict.fromkeys(("state_count", "episodes"), (lambda v: v >= 2, "must be at least 2")),
     **dict.fromkeys(("drift", "audit_prob"), (lambda v: 0 <= v <= 1, "must lie in [0, 1]")),
     **dict.fromkeys(
         ("k", "cost_a", "cost_b", "cost_a2", "cost_b2", "backlash_effort", "effort_max",
@@ -66,7 +66,7 @@ _RULES = {
         (lambda v: v >= 0, "must be non-negative"),
     ),
     **dict.fromkeys(
-        ("static_draws", "episodes", "verify_scenarios"), (lambda v: v >= 1, "must be at least 1")
+        ("static_draws", "verify_scenarios"), (lambda v: v >= 1, "must be at least 1")
     ),
 }
 

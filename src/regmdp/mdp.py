@@ -259,7 +259,6 @@ class RegulationMdp:
         p = np.zeros((n, n))
         idx = np.arange(n)
         p[idx, n - 1] += h
-        p[idx, idx] += (1.0 - h) * (1.0 - g)
+        p[idx, idx] += (1.0 - h) * (1.0 - g)  # g[0] is pinned to 0: state 0 cannot drift
         p[idx[1:], idx[1:] - 1] += (1.0 - h[1:]) * g[1:]
-        p[0, 0] += (1.0 - h[0]) * g[0]  # g[0] is pinned to 0; keeps row sums exact
         return p

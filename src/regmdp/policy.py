@@ -74,13 +74,11 @@ def _residual_bound(mdp: RegulationMdp, scale: float) -> float:
 def _value_limits(mdp: RegulationMdp):
     """(lowest value a policy may reach, largest Bellman residual an evaluation may leave).
 
-    The value floor is -cost(e_max) / (1 - gamma), less a relative 1e-8; the
-    residual bound is (3n + 4) ulps of that value scale. Values must also
-    stay at or below 0, give or take 1e-10.
+    The value floor is -cost(e_max) / (1 - gamma), exact at gamma = 0, less a
+    relative 1e-8; the residual bound is (3n + 4) ulps of that value scale.
+    Values must also stay at or below 0, give or take 1e-10.
     """
-    floor = -float(mdp.cost.value(mdp.actions.e_max))
-    if mdp.gamma > 0:
-        floor /= 1.0 - mdp.gamma
+    floor = -float(mdp.cost.value(mdp.actions.e_max)) / (1.0 - mdp.gamma)
     return floor - 1e-8 * (1.0 + abs(floor)), _residual_bound(mdp, abs(floor))
 
 
@@ -111,23 +109,18 @@ def evaluate_policy(mdp: RegulationMdp, policy: Policy) -> ValueFunction:
     return ValueFunction(mdp.space, v)
 
 
-def _backup(mdp: RegulationMdp, v: np.ndarray, i, h, c):
-    """r + gamma P v from state index i, for an action of harm chance h and cost c.
+def _lookahead(mdp: RegulationMdp, v: np.ndarray, i, e):
+    """One-step lookahead value r + gamma P v from state index i playing effort e.
 
-    That is -c + gamma (h v_B + (1 - h) d), where d = g v[i-1] + (1 - g) v[i]
-    is the expected next value when no harm occurs; broadcasts over i, h and
-    c. At i = 0, v[i-1] wraps to v[-1], but DriftModel pins g[0] = 0, so d
-    is exactly v[0].
+    That is -c(e) + gamma (h v_B + (1 - h) d), with h = h(e) and
+    d = g v[i-1] + (1 - g) v[i] the expected next value when no harm occurs;
+    broadcasts over i and e. At i = 0, v[i-1] wraps to v[-1], but DriftModel
+    pins g[0] = 0, so d is exactly v[0].
     """
+    h = mdp.harm.prob(e)  # also rejects negative effort
     g = mdp.drift.probs[i]
     d = g * v[i - 1] + (1.0 - g) * v[i]
-    return -c + mdp.gamma * (h * v[-1] + (1.0 - h) * d)
-
-
-def _lookahead(mdp: RegulationMdp, v: np.ndarray, i, e):
-    """One-step lookahead value q from state index i playing effort e, against values v."""
-    h = mdp.harm.prob(e)  # also rejects negative effort
-    return _backup(mdp, v, i, h, mdp.cost.value(e))
+    return -mdp.cost.value(e) + mdp.gamma * (h * v[-1] + (1.0 - h) * d)
 
 
 def q_value(mdp: RegulationMdp, vfun: ValueFunction, e_c: float, e: float) -> float:
@@ -195,8 +188,7 @@ class ThresholdChain:
         k = bisect_right(self._levels, tau)  # the states held at tau
         if k:
             h0, c0 = float(mdp.harm.prob(tau)), float(mdp.cost.value(tau))
-            stay = gamma * (1.0 - h0)
-            d = 1.0 - stay * (1.0 - self._g[0])
+            d = 1.0 - gamma * (1.0 - h0)
             a, b, s = -c0 / d, gamma * h0 / d, (1.0 - gamma) / d
         else:  # tau lies below every level: state 0 complies with its own
             k, h0, c0 = 1, self._h[0], self._c[0]

@@ -6,6 +6,7 @@ numpy array of efforts and return a matching scalar or array.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,7 @@ class HarmModel:
             raise ConstructionError(
                 f"h_max must lie in (h_min, 1], got h_max={self.h_max} with h_min={self.h_min}"
             )
-        if not 0 < self.k < math.inf:
+        if not 0 < self.k <= sys.float_info.max:  # also refuses an int no float holds
             raise ConstructionError(f"decay rate k must be positive and finite, got {self.k}")
 
     def prob(self, e):
@@ -77,11 +78,11 @@ class CostModel:
     b: float
 
     def __post_init__(self):
-        if not 0 < self.a < math.inf:
+        if not 0 < self.a <= sys.float_info.max:
             raise ConstructionError(
                 f"quadratic coefficient a must be positive and finite, got {self.a}"
             )
-        if not 0 < self.b < math.inf:
+        if not 0 < self.b <= sys.float_info.max:
             raise ConstructionError(
                 f"linear coefficient b must be positive and finite, got {self.b}"
             )
@@ -148,20 +149,14 @@ class WelfareModel:
     damage: float
 
     def __post_init__(self):
-        if not 0 <= self.damage < math.inf:
+        if not 0 <= self.damage <= sys.float_info.max:
             raise ConstructionError(f"damage must be finite and non-negative, got {self.damage}")
 
     def expected_welfare(self, e):
-        e = _effort_array(e)
-        out = -(np.asarray(self.harm.prob(e)) * self.damage) - np.asarray(self.cost.value(e))
-        return _match_input(np.asarray(out))
+        return -(self.harm.prob(e) * self.damage) - self.cost.value(e)
 
     def marginal_welfare(self, e):
-        e = _effort_array(e)
-        out = -(np.asarray(self.harm.derivative(e)) * self.damage) - np.asarray(
-            self.cost.derivative(e)
-        )
-        return _match_input(np.asarray(out))
+        return -(self.harm.derivative(e) * self.damage) - self.cost.derivative(e)
 
 
 def _bisect(holds, lo: float, hi: float, tol: float) -> float:

@@ -115,9 +115,7 @@ class ValueEstimate(NamedTuple):
 
 
 def truncation_bound(mdp: RegulationMdp, horizon: int) -> float:
-    """Upper bound on the return mass cut off by stopping at `horizon`."""
-    if mdp.gamma == 0.0:
-        return 0.0
+    """Bound gamma**horizon * cost(e_max) / (1 - gamma) on the return cut off at `horizon`."""
     c_max = float(mdp.cost.value(mdp.actions.e_max))
     return mdp.gamma**horizon * c_max / (1.0 - mdp.gamma)
 

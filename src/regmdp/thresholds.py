@@ -9,6 +9,7 @@ with what static fines can achieve.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +73,7 @@ class StaticRegime:
     def __post_init__(self):
         if not 0.0 <= self.audit_prob <= 1.0:
             raise ConstructionError(f"audit_prob must lie in [0, 1], got {self.audit_prob}")
-        if not 0 <= self.fine < math.inf:
+        if not 0 <= self.fine <= sys.float_info.max:  # also refuses an int no float holds
             raise ConstructionError(f"fine must be finite and non-negative, got {self.fine}")
 
 
@@ -145,12 +146,10 @@ def optimal_threshold(mdp: RegulationMdp, refine_tol: float = 1e-6) -> float:
     continuous margin down to refine_tol. The scan and the bisection evaluate
     every threshold on one `ThresholdChain`, built once per solve. Returns 0
     when the condition holds nowhere (then complying exactly is already
-    optimal), which includes every myopic platform (gamma == 0).
+    optimal), as for every myopic platform: at gamma = 0 each margin is -c'(e).
     """
     if not refine_tol > 0:
         raise DomainError(f"refine_tol must be positive, got {refine_tol}")
-    if mdp.gamma == 0.0:
-        return 0.0
     chain = ThresholdChain(mdp)
     cand = mdp.actions.efforts[mdp.actions.efforts <= mdp.space.backlash_level + 1e-12]
     margins = np.array([_hold_margin(chain, e) for e in cand.tolist()])
@@ -239,8 +238,6 @@ def design_backlash(
         )
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol}")
-    if space_template.n_states < 2:
-        raise ConstructionError("the space template needs at least one level below the top")
     lower = space_template.levels[:-1]
     if lower[-1] >= e_max:
         raise ConstructionError("the template's fixed levels must sit below the effort ceiling")
@@ -366,29 +363,27 @@ def impossibility_report(
     # both optima anchor the candidate grid; collapse them when they coincide
     anchors = (e1,) if abs(e1 - e2) <= 1e-12 else (e1, e2)
     grid = build_action_grid(e_max, candidate_step, anchors).efforts
+    gap1, gap2 = grid - e1, grid - e2
+    loss1 = w1.expected_welfare(e1) - w1.expected_welfare(grid)
+    loss2 = w2.expected_welfare(e2) - w2.expected_welfare(grid)
+    attains = (np.abs(gap1) <= _ATTAIN_TOL) & (np.abs(gap2) <= _ATTAIN_TOL)
     horizon_factor = 1.0 / (1.0 - gamma)
-    rows = []
-    all_miss = True
-    for e_c in grid:
-        e_c = float(e_c)
-        gap1, gap2 = e_c - e1, e_c - e2
-        loss1 = float(w1.expected_welfare(e1) - w1.expected_welfare(e_c))
-        loss2 = float(w2.expected_welfare(e2) - w2.expected_welfare(e_c))
-        attains_both = abs(gap1) <= _ATTAIN_TOL and abs(gap2) <= _ATTAIN_TOL
-        if attains_both:
-            all_miss = False
-        rows.append(
-            (
-                ("required_effort", e_c),
-                ("induced_effort", e_c),
-                ("gap_to_optimum_1", gap1),
-                ("gap_to_optimum_2", gap2),
-                ("welfare_loss_1", loss1),
-                ("welfare_loss_2", loss2),
-                ("discounted_loss_1", loss1 * horizon_factor),
-                ("discounted_loss_2", loss2 * horizon_factor),
-                ("attains_both", attains_both),
-            )
+    rows = tuple(
+        (
+            ("required_effort", e_c),
+            ("induced_effort", e_c),
+            ("gap_to_optimum_1", g1),
+            ("gap_to_optimum_2", g2),
+            ("welfare_loss_1", l1),
+            ("welfare_loss_2", l2),
+            ("discounted_loss_1", l1 * horizon_factor),
+            ("discounted_loss_2", l2 * horizon_factor),
+            ("attains_both", both),
         )
-    conclusion = all_miss and not degenerate
-    return ImpossibilityReport(e1, e2, degenerate, _ATTAIN_TOL, tuple(rows), conclusion)
+        for e_c, g1, g2, l1, l2, both in zip(
+            grid.tolist(), gap1.tolist(), gap2.tolist(), loss1.tolist(), loss2.tolist(),
+            attains.tolist(),
+        )
+    )
+    conclusion = not attains.any() and not degenerate
+    return ImpossibilityReport(e1, e2, degenerate, _ATTAIN_TOL, rows, conclusion)

@@ -88,6 +88,7 @@ class TestLoadConfig:
         ({"effort_max": -1}, "effort_max must be positive, got -1"),
         ({"h_max": 0}, "h_max must lie in (0, 1], got 0"),
         ({"state_count": 1.0}, "state_count must be at least 2, got 1"),
+        ({"episodes": 1}, "episodes must be at least 2, got 1"),
         ({"horizon": -3.0}, "horizon must be non-negative, got -3"),
         ({"seed": -1}, "seed must be non-negative, got -1"),
         ({"k": float("inf")}, "k must be finite, got inf"),
@@ -329,6 +330,11 @@ class TestCliCommands:
         cfg = write_json(tmp_path / "c.json", {"horizon": 5, "episodes": 100})
         assert run(["simulate", "--config", cfg]) == 2
         assert "horizon" in capsys.readouterr().err
+
+    def test_simulate_refuses_a_single_episode_by_its_key(self, capsys):
+        # a confidence width needs two episodes; the config names the key
+        assert run(["simulate", "--episodes", "1"]) == 2
+        assert capsys.readouterr().err.startswith("config error: episodes must be at least 2")
 
     def test_verify_prints_one_line_per_suite(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "c.json", {"verify_scenarios": 2})

@@ -69,6 +69,8 @@ class TestHarmModel:
             HarmModel(0.1, 0.9, 0.0)
         with pytest.raises(ConstructionError, match="finite"):  # its prob() would be NaN at 0
             HarmModel(0.1, 0.9, np.inf)
+        with pytest.raises(ConstructionError, match="finite"):  # no float holds it
+            HarmModel(0.1, 0.9, 10**400)
 
     def test_rejects_bad_effort(self, harm):
         with pytest.raises(DomainError):
@@ -112,6 +114,10 @@ class TestCostModel:
             CostModel(np.inf, 0.1)
         with pytest.raises(ConstructionError, match="finite"):
             CostModel(0.5, np.inf)
+        with pytest.raises(ConstructionError, match="finite"):
+            CostModel(10**400, 0.1)
+        with pytest.raises(ConstructionError, match="finite"):
+            CostModel(0.5, 10**400)
 
     def test_rejects_negative_effort(self, cost):
         with pytest.raises(DomainError):
@@ -207,6 +213,8 @@ class TestWelfareModel:
             WelfareModel(harm, cost, -1.0)
         with pytest.raises(ConstructionError, match="finite"):
             WelfareModel(harm, cost, np.inf)
+        with pytest.raises(ConstructionError, match="finite"):
+            WelfareModel(harm, cost, 10**400)
 
 
 class TestSociallyOptimalEffort:

@@ -106,6 +106,8 @@ class TestHorizons:
         m0 = RegulationMdp(mdp.space, mdp.actions, mdp.harm, mdp.cost, mdp.drift, 0.0)
         assert minimal_horizon(m0, 1e-6) == 1
         assert truncation_bound(m0, 1) == 0.0
+        # stopping before the first step cuts off the whole return, bounded by cost(e_max)
+        assert truncation_bound(m0, 0) == mdp.cost.value(mdp.actions.e_max)
 
     def test_short_horizon_raises_and_names_the_fix(self, mdp):
         pol = Policy.comply(mdp.space)

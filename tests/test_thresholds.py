@@ -87,6 +87,8 @@ class TestStaticRegime:
             StaticRegime(0.5, -1.0)
         with pytest.raises(ConstructionError, match="finite"):
             StaticRegime(0.5, np.inf)
+        with pytest.raises(ConstructionError, match="finite"):
+            StaticRegime(0.5, 10**400)
 
     def test_harsh_fines_induce_exact_compliance(self, cost, actions):
         regime = StaticRegime(0.5, 10.0)
@@ -238,8 +240,19 @@ class TestImpossibility:
         )
         rows = report.records()
         assert len(rows) == 1003  # 1001 uniform candidates plus both optima
+        w1 = WelfareModel(harm, CostModel(0.5, 0.1), 2.0)
+        w2 = WelfareModel(harm, CostModel(0.2, 0.05), 2.0)
         for row in rows:
-            assert row["induced_effort"] == row["required_effort"]
+            e_c = row["required_effort"]
+            # the grid-wide arrays give each candidate's scalar evaluation, bit for bit
+            assert row["gap_to_optimum_2"] == e_c - report.e_star_2
+            assert row["welfare_loss_1"] == (
+                w1.expected_welfare(report.e_star_1) - w1.expected_welfare(e_c)
+            )
+            assert row["welfare_loss_2"] == (
+                w2.expected_welfare(report.e_star_2) - w2.expected_welfare(e_c)
+            )
+            assert row["induced_effort"] == e_c
             assert row["welfare_loss_1"] >= -1e-12
             assert row["welfare_loss_2"] >= -1e-12
             assert row["discounted_loss_1"] == pytest.approx(
