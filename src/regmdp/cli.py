@@ -37,9 +37,6 @@ from .policy import evaluate_threshold_policy
 from .primitives import socially_optimal_effort
 from .simulate import _Z_95, agreement_z, estimate_value
 from .thresholds import (
-    RampAuditFailure,
-    StaticRegime,
-    StepAuditFailure,
     design_backlash,
     impossibility_report,
     optimal_threshold,
@@ -242,17 +239,7 @@ def _cmd_static(config: Config):
                 "shortfall": float(e_c) - induced,
             }
         )
-    # sweep random enforcement intensities; static_optimal_effort raises on
-    # any effort above the requirement, so a finished sweep found none
-    rng = np.random.default_rng(config["seed"])
-    for _ in range(config["static_draws"]):
-        r = float(rng.uniform(0.0, 1.0))
-        fine = float(rng.uniform(0.0, 1e9))
-        for fam in (StepAuditFailure(config["fail_p0"]), RampAuditFailure(config["fail_beta"])):
-            probe = StaticRegime(r, fine, fam)
-            for e_c in space.levels:
-                static_optimal_effort(probe, cost, float(e_c), actions)
-    return rows, None, {"sweep_draws": config["static_draws"]}, 0
+    return rows, None, {}, 0
 
 
 def _cmd_impossibility(config: Config):

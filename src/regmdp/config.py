@@ -39,14 +39,13 @@ DEFAULTS = {
     "fail_model": "step",
     "fail_p0": 1.0,
     "fail_beta": 5.0,
-    "static_draws": 100,
     "episodes": 100000,
     "horizon": 0,
     "start_state": None,
     "verify_scenarios": 5,
 }
 
-_INT_KEYS = {"state_count", "seed", "static_draws", "episodes", "horizon", "verify_scenarios"}
+_INT_KEYS = {"state_count", "seed", "episodes", "horizon", "verify_scenarios"}
 
 # the one rule of each numeric key: (test, what its message says the key must do)
 _RULES = {
@@ -65,16 +64,20 @@ _RULES = {
         ("damage", "state_min", "seed", "horizon", "start_state"),
         (lambda v: v >= 0, "must be non-negative"),
     ),
-    **dict.fromkeys(
-        ("static_draws", "verify_scenarios"), (lambda v: v >= 1, "must be at least 1")
-    ),
+    "verify_scenarios": (lambda v: v >= 1, "must be at least 1"),
 }
+
+# a cap on the action grid, in steps of action_step up to effort_max: one
+# float per step, and every solve scans the whole grid
+_MAX_GRID_STEPS = 10**6
 
 # (lower key, upper key, test, relation): checked once both keys pass their own rule
 _ORDERINGS = (
     ("h_min", "h_max", operator.lt, "must be below"),
     ("backlash_effort", "effort_max", operator.le, "must not exceed"),
     ("state_min", "backlash_effort", operator.lt, "must be below"),
+    ("action_step", "effort_max", lambda step, top: top / step <= _MAX_GRID_STEPS,
+     f"must keep the action grid within its cap of {_MAX_GRID_STEPS:,} steps up to"),
 )
 
 

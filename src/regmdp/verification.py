@@ -272,7 +272,11 @@ def effort_preference_signs_agree(
 
 
 def static_fines_never_exceed_requirement(n_pairs: int = 100, seed: int = 303) -> SuiteResult:
-    """No audit probability and fine push effort above the requirement (the solver's check)."""
+    """No audit probability and fine push effort above the requirement (the solver's check).
+
+    This is the package's only random draw of audit probabilities and fines:
+    the `static` subcommand solves just the configured regime.
+    """
     rng = np.random.default_rng(seed)
     out = SuiteResult("static fines never push effort past the requirement")
     cost = random_cost(rng)

@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+import regmdp.config
 import regmdp.policy
 import regmdp.thresholds
 from regmdp import ConfigError, DEFAULTS, SuiteResult, cli, load_config
@@ -81,6 +82,9 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="start_state"):
             load_config(None, {"start_state": "hmm"})
 
+    def test_the_action_grid_cap_admits_exactly_a_million_steps(self):
+        assert load_config(None, {"action_step": 1e-6})["action_step"] == 1e-6
+
     @pytest.mark.parametrize("settings, message", [
         ({"drift": -0.1}, "drift must lie in [0, 1], got -0.1"),
         ({"audit_prob": -1}, "audit_prob must lie in [0, 1], got -1"),
@@ -93,6 +97,8 @@ class TestLoadConfig:
         ({"seed": -1}, "seed must be non-negative, got -1"),
         ({"k": float("inf")}, "k must be finite, got inf"),
         ({"start_state": True}, "start_state must be a number or null, got True"),
+        ({"effort_max": 2.0, "action_step": 1e-6}, "action_step (1e-06) must keep the action "
+         "grid within its cap of 1,000,000 steps up to effort_max (2.0)"),
     ])
     def test_one_mistake_gives_one_message(self, settings, message):
         with pytest.raises(ConfigError) as exc:
@@ -289,7 +295,7 @@ class TestCliCommands:
         for row in csv.DictReader(io.StringIO(out.read_text())):
             assert float(row["induced_effort"]) <= float(row["required_effort"]) + 1e-12
         meta = json.loads((tmp_path / "static.meta.json").read_text())
-        assert meta["results"] == {"sweep_draws": DEFAULTS["static_draws"]}
+        assert meta["results"] == {}
 
     def test_static_rejects_a_zero_failure_probability(self, tmp_path, capsys):
         # the step family needs p0 in (0, 1], whichever family is configured
@@ -439,6 +445,24 @@ class TestExitCodeSweep:
         code, err = self.run_text(tmp_path, capsys, command, text)
         assert code == 2, err
         assert err.startswith(f"config error: {key} must be ")
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    @pytest.mark.parametrize("text, message", [
+        ('{"static_draws": 100}', "unknown key: static_draws"),  # the removed sweep's key
+        # 1e10 grid steps, 74.5 GiB: refused before any grid is built
+        ('{"action_step": 1e-10}', "action_step (1e-10) must keep the action grid within its "
+                                   "cap of 1,000,000 steps up to effort_max (1.0)"),
+    ])
+    def test_a_refused_config_builds_no_grid(self, tmp_path, capsys, monkeypatch, command,
+                                             text, message):
+        def no_grid(*args):
+            raise AssertionError("build_action_grid called")
+
+        for module in (cli, regmdp.config, regmdp.thresholds):
+            monkeypatch.setattr(module, "build_action_grid", no_grid)
+        code, err = self.run_text(tmp_path, capsys, command, text)
+        assert code == 2, err
+        assert err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("command, expected", [
         ("welfare", 0), ("solve", 2), ("design-backlash", 2),
