@@ -2,9 +2,10 @@
 
 Threshold policies, the ones the solver scans, are evaluated in O(n) by a
 forward pass over the chain's structure (`ThresholdChain`). The pass's
-threshold-independent tables are built once per solve, so each of a solve's
-candidate thresholds costs two scalar model calls and O(n) Python arithmetic;
-`evaluate_threshold_policy` builds them for one threshold. Any other policy
+threshold-independent tables are built once per solve, and a solve's scan
+calls the model over arrays of candidate thresholds, so a candidate costs
+O(n) Python arithmetic; `evaluate_threshold_policy` builds the tables for one
+threshold. Any other policy
 is evaluated by solving the linear fixed point v = r + gamma P v densely
 (`evaluate_policy`), which also serves as the structured path's check in
 `verification`. Either way a value function is returned only once its
@@ -144,9 +145,11 @@ class ThresholdChain:
     sigma_i = (1 - gamma) / D_i, h_i, c_i and g_i, are the same for every
     threshold; so are the value floor and the residual bound. They are built
     here once, by vectorised expressions, as Python float lists. `values`
-    then evaluates one threshold with two scalar model calls and O(n) Python
-    arithmetic, and no NumPy call over the states: `optimal_threshold` builds
-    one chain per solve and evaluates some 600 to 1,000 thresholds on it.
+    evaluates one threshold with two scalar model calls; `gaps` evaluates an
+    array of them with one `searchsorted` and one array call each for h and
+    c. Either way a threshold then costs one O(n) Python pass, `_pass`, and
+    no NumPy call over the states: `optimal_threshold` builds one chain per
+    solve and scans some 600 to 1,000 thresholds on it.
     """
 
     __slots__ = ("mdp", "_levels", "_alpha", "_beta", "_delta", "_sigma", "_h", "_c", "_g",
@@ -181,13 +184,40 @@ class ThresholdChain:
         """
         mdp = self.mdp
         if not 0.0 <= tau <= mdp.space.backlash_level + 1e-12:
-            raise DomainError(
-                f"threshold must lie in [0, {mdp.space.backlash_level}], got {tau}"
-            )
-        gamma, alpha, beta, sigma = mdp.gamma, self._alpha, self._beta, self._sigma
+            self._refuse(tau)
         k = bisect_right(self._levels, tau)  # the states held at tau
+        return self._pass(k, float(mdp.harm.prob(tau)), float(mdp.cost.value(tau)))
+
+    def gaps(self, taus: np.ndarray) -> np.ndarray:
+        """Held value minus backlash value at each threshold in taus.
+
+        One `searchsorted` counts every threshold's held states, and one array
+        call each gives h and c, so a threshold costs only its `_pass`, with
+        `values`' residual and range checks. One threshold outside the space
+        refuses the whole array.
+        """
+        mdp = self.mdp
+        taus = np.asarray(taus, dtype=float)
+        top = mdp.space.backlash_level + 1e-12
+        if taus.size and not (taus.min() >= 0.0 and taus.max() <= top):
+            self._refuse(taus[~((taus >= 0.0) & (taus <= top))][0])
+        ks = np.searchsorted(mdp.space.levels, taus, side="right").tolist()
+        hs, cs = mdp.harm.prob(taus).tolist(), mdp.cost.value(taus).tolist()
+        return np.array([v[0] - v[-1] for v in map(self._pass, ks, hs, cs)])
+
+    def _refuse(self, tau):
+        raise DomainError(
+            f"threshold must lie in [0, {self.mdp.space.backlash_level}], got {tau}"
+        )
+
+    def _pass(self, k: int, h0: float, c0: float) -> list:
+        """`values`' forward pass and checks, given k = the count of levels <= tau.
+
+        h0 and c0 are h(tau) and c(tau). At k = 0, tau lies below every
+        level, so state 0 complies with its own level and they are unused.
+        """
+        gamma, alpha, beta, sigma = self.mdp.gamma, self._alpha, self._beta, self._sigma
         if k:
-            h0, c0 = float(mdp.harm.prob(tau)), float(mdp.cost.value(tau))
             d = 1.0 - gamma * (1.0 - h0)
             a, b, s = -c0 / d, gamma * h0 / d, (1.0 - gamma) / d
         else:  # tau lies below every level: state 0 complies with its own

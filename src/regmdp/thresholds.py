@@ -26,6 +26,7 @@ from .primitives import (
 )
 
 _ATTAIN_TOL = 1e-3  # how close a requirement must come to an optimum to attain it
+_SCAN_SLICE = 4096  # scan candidates per array call: at the 1e6-step cap, no 1e6-entry lists
 
 # ---------------------------------------------------------------------------
 # static audit regime
@@ -131,11 +132,32 @@ def _hold_margin(chain: ThresholdChain, e: float) -> float:
     by -gamma * h'(e) >= 0 rather than divided by h'(e), which underflows to
     zero on steep harm curves; a zero slope then reads as "holding never pays".
     The values come from the solve's chain, whose tables are built once.
+    This is the bisection's path; `optimal_threshold`'s scan computes the same
+    margins over arrays, in the same operation order, so this is also its
+    bit-for-bit reference.
     """
     mdp = chain.mdp
     v = chain.values(e)
     gap = v[0] - v[-1]
     return -mdp.gamma * float(mdp.harm.derivative(e)) * gap - float(mdp.cost.derivative(e))
+
+
+def _scan_margins(chain: ThresholdChain, cand: np.ndarray) -> np.ndarray:
+    """`_hold_margin` at every candidate, bit for bit, over arrays.
+
+    Walks the candidates a slice of at most `_SCAN_SLICE` at a time: the gaps
+    of a slice come from `ThresholdChain.gaps`, and h'(e) and c'(e) from one
+    array call each, taken only once the gaps have passed their checks.
+    """
+    mdp = chain.mdp
+    margins = np.empty(cand.size)
+    for start in range(0, cand.size, _SCAN_SLICE):
+        e = cand[start:start + _SCAN_SLICE]
+        gaps = chain.gaps(e)
+        margins[start:start + e.size] = (
+            -mdp.gamma * mdp.harm.derivative(e) * gaps - mdp.cost.derivative(e)
+        )
+    return margins
 
 
 def optimal_threshold(mdp: RegulationMdp, refine_tol: float = 1e-6) -> float:
@@ -144,7 +166,8 @@ def optimal_threshold(mdp: RegulationMdp, refine_tol: float = 1e-6) -> float:
     Scans every action-grid effort up to the backlash level for the hold
     condition, then refines the last sign change by bisection on the
     continuous margin down to refine_tol. The scan and the bisection evaluate
-    every threshold on one `ThresholdChain`, built once per solve. Returns 0
+    every threshold on one `ThresholdChain`, built once per solve; the scan
+    takes the model over arrays of candidates (`_scan_margins`). Returns 0
     when the condition holds nowhere (then complying exactly is already
     optimal), as for every myopic platform: at gamma = 0 each margin is -c'(e).
     """
@@ -152,7 +175,7 @@ def optimal_threshold(mdp: RegulationMdp, refine_tol: float = 1e-6) -> float:
         raise DomainError(f"refine_tol must be positive, got {refine_tol}")
     chain = ThresholdChain(mdp)
     cand = mdp.actions.efforts[mdp.actions.efforts <= mdp.space.backlash_level + 1e-12]
-    margins = np.array([_hold_margin(chain, e) for e in cand.tolist()])
+    margins = _scan_margins(chain, cand)
     holds = margins >= 0.0
     if not holds.any():
         return 0.0

@@ -115,6 +115,13 @@ class TestThresholdEvaluation:
         with pytest.raises(DomainError):
             evaluate_threshold_policy(mdp, -0.1)
 
+    @pytest.mark.parametrize("taus, named", [
+        ([0.1, 1.2], "1.2"), ([-0.1, 0.5], "-0.1"), ([0.5, float("nan")], "nan"),
+    ], ids=["above", "below", "nan"])
+    def test_the_scan_refuses_a_threshold_outside_the_space(self, mdp, taus, named):
+        with pytest.raises(DomainError, match=f"threshold must lie in .*, got {named}$"):
+            policy_module.ThresholdChain(mdp).gaps(np.array(taus))
+
     def test_a_backup_off_by_more_than_rounding_is_refused(self, mdp, monkeypatch):
         _overcharge(monkeypatch)
         with pytest.raises(RuntimeError, match="Bellman residual"):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from regmdp import thresholds
+from regmdp import load_config, thresholds
 from regmdp import (
     ConstructionError,
     CostModel,
@@ -27,6 +27,9 @@ from regmdp import (
     static_optimal_effort,
     value_iteration,
 )
+from regmdp.policy import ThresholdChain
+from regmdp.primitives import _bisect
+from regmdp.verification import random_mdp
 
 E_STAR = 0.6284733737717892
 E_STAR_2 = 0.8401322599573315
@@ -149,6 +152,60 @@ class TestOptimalThreshold:
     def test_rejects_bad_refine_tol(self, mdp):
         with pytest.raises(DomainError):
             optimal_threshold(mdp, refine_tol=0.0)
+
+
+def _candidates(mdp):
+    return mdp.actions.efforts[mdp.actions.efforts <= mdp.space.backlash_level + 1e-12]
+
+
+def _scalar_scan(mdp, refine_tol=1e-6):
+    """The scan as one `_hold_margin` call per candidate, with the same bracket and bisection."""
+    chain = ThresholdChain(mdp)
+    cand = _candidates(mdp)
+    margins = np.array([thresholds._hold_margin(chain, e) for e in cand.tolist()])
+    holds = margins >= 0.0
+    if not holds.any():
+        return margins, 0.0
+    i = int(np.max(np.nonzero(holds)[0]))
+    if i == cand.size - 1:
+        return margins, float(cand[-1])
+    lo, hi = float(cand[i]), float(cand[i + 1])
+    return margins, _bisect(lambda e: thresholds._hold_margin(chain, e) >= 0.0, lo, hi,
+                            refine_tol)
+
+
+def _assert_scan_matches_scalar(mdp):
+    margins, stable = _scalar_scan(mdp)
+    scanned = thresholds._scan_margins(ThresholdChain(mdp), _candidates(mdp))
+    assert scanned.tobytes() == margins.tobytes()
+    assert optimal_threshold(mdp).hex() == stable.hex()
+
+
+class TestArrayScan:
+    @pytest.mark.parametrize("overrides", [
+        {}, {"state_min": 0.5}, {"k": 2000}, {"gamma": 0}, {"gamma": 0.9999},
+    ], ids=["canonical", "below every level", "harm slope 0", "gamma 0", "gamma 0.9999"])
+    def test_matches_the_scalar_scan_bit_for_bit(self, overrides):
+        _assert_scan_matches_scalar(load_config(None, overrides).mdp())
+
+    def test_matches_the_scalar_scan_on_random_draws(self):
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            _assert_scan_matches_scalar(random_mdp(rng))
+
+    def test_a_slice_boundary_changes_nothing(self, mdp, monkeypatch):
+        whole = thresholds._scan_margins(ThresholdChain(mdp), _candidates(mdp))
+        monkeypatch.setattr(thresholds, "_SCAN_SLICE", 7)
+        sliced = thresholds._scan_margins(ThresholdChain(mdp), _candidates(mdp))
+        assert sliced.tobytes() == whole.tobytes()
+
+    def test_margins_change_sign_at_most_once(self):
+        rng = np.random.default_rng(23)
+        for case in range(150):
+            mdp = random_mdp(rng, (3, 40), (0.3, 0.9999))
+            holds = thresholds._scan_margins(ThresholdChain(mdp), _candidates(mdp)) >= 0.0
+            changes = np.nonzero(holds[1:] != holds[:-1])[0]
+            assert changes.size <= 1, f"case {case}: sign changes after candidates {changes}"
 
 
 class TestOverreactionGap:
