@@ -1,15 +1,16 @@
 """Exact policy evaluation, action values, and brute-force optimization.
 
-Threshold policies, the ones the solver scans, are evaluated in O(n) by a
-forward pass over the chain's structure (`ThresholdChain`). The pass's
-threshold-independent tables are built once per solve, and a solve's scan
-calls the model over arrays of candidate thresholds, so a candidate costs
-O(n) Python arithmetic; `evaluate_threshold_policy` builds the tables for one
-threshold. Any other policy
-is evaluated by solving the linear fixed point v = r + gamma P v densely
-(`evaluate_policy`), which also serves as the structured path's check in
-`verification`. Either way a value function is returned only once its
-Bellman residual is within rounding. Policy iteration over the full action
+Threshold policies, the ones the solver scans, are evaluated in O(n) over
+the chain's structure (`ThresholdChain`), whose threshold-independent tables
+are built once per solve. A scan or bisection candidate takes its backlash
+value in O(1) from a backward pass in those tables, then its values from it
+in one substitution pass, and they still pass the Bellman-residual and range
+checks; the scan calls the model over arrays of candidates. The final values
+(`evaluate_threshold_policy`, which builds the tables for one threshold) come
+from a forward pass instead. Any other policy is evaluated by solving the
+linear fixed point v = r + gamma P v densely (`evaluate_policy`), which also
+serves as the structured path's check in `verification`. Either way a value
+function is returned only once its Bellman residual is within rounding. Policy iteration over the full action
 grid is retained purely as an independent optimality oracle for cross-checks;
 nothing else depends on it.
 
@@ -144,16 +145,26 @@ class ThresholdChain:
     above the threshold plays its own level, so its coefficients, with
     sigma_i = (1 - gamma) / D_i, h_i, c_i and g_i, are the same for every
     threshold; so are the value floor and the residual bound. They are built
-    here once, by vectorised expressions, as Python float lists. `values`
-    evaluates one threshold with two scalar model calls; `gaps` evaluates an
-    array of them with one `searchsorted` and one array call each for h and
-    c. Either way a threshold then costs one O(n) Python pass, `_pass`, and
-    no NumPy call over the states: `optimal_threshold` builds one chain per
-    solve and scans some 600 to 1,000 thresholds on it.
+    here once, by vectorised expressions, as Python floats in lists.
+
+    So is a backward pass over them that gives the backlash value at every
+    split k (states k .. n-1 comply) in O(1): from P_n = 0, R_n = 1, S_n = 0,
+    P_{k-1} = P_k + R_k alpha_{k-1}, S_{k-1} = S_k + R_k sigma_{k-1} and
+    R_{k-1} = R_k delta_{k-1}, so that V_B = (P_k + R_k u) / (S_k + R_k q)
+    when the state below the split has value u + (1 - q) V_B. S_k, like q,
+    is a sum of positive terms, so V_B does not cancel as gamma nears 1.
+
+    `values` gives the final values of one threshold by the forward pass
+    `_pass`. `gap` (one threshold) and `gaps` (an array of them, with one
+    `searchsorted` and one array call each for h and c) give the held value
+    minus the backlash value by `_gap`: V_B from the backward pass, then the
+    values from it by one substitution pass. Both paths check their values
+    with `_verify`, and neither makes a NumPy call over the states:
+    `optimal_threshold` builds one chain per solve and scans some 600 to
+    1,000 thresholds on it.
     """
 
-    __slots__ = ("mdp", "_levels", "_alpha", "_beta", "_delta", "_sigma", "_h", "_c", "_g",
-                 "_limits")
+    __slots__ = ("mdp", "_levels", "_coef", "_hg", "_c", "_p", "_r", "_s", "_limits")
 
     def __init__(self, mdp: RegulationMdp):
         gamma, levels, g = mdp.gamma, mdp.space.levels, mdp.drift.probs
@@ -161,11 +172,18 @@ class ThresholdChain:
         c = mdp.cost.value(levels)
         stay = gamma * (1.0 - h)
         d = 1.0 - stay * (1.0 - g)
+        alpha, delta, sigma = -c / d, stay * g / d, (1.0 - gamma) / d
+        # the backward pass; cumprod and cumsum run in order, as its recurrences do
+        r = np.append(np.cumprod(delta[::-1])[::-1], 1.0)
+        p = np.append(np.cumsum((r[1:] * alpha)[::-1])[::-1], 0.0)
+        s = np.append(np.cumsum((r[1:] * sigma)[::-1])[::-1], 0.0)
         self.mdp = mdp
         self._levels = levels.tolist()
-        self._alpha, self._beta = (-c / d).tolist(), (gamma * h / d).tolist()
-        self._delta, self._sigma = (stay * g / d).tolist(), ((1.0 - gamma) / d).tolist()
-        self._h, self._c, self._g = h.tolist(), c.tolist(), g.tolist()
+        # per-state tuples, so that a pass slices one list where it would slice four
+        self._coef = list(zip(alpha.tolist(), (gamma * h / d).tolist(), delta.tolist(),
+                              sigma.tolist()))
+        self._hg, self._c = list(zip(h.tolist(), g.tolist())), c.tolist()
+        self._p, self._r, self._s = p.tolist(), r.tolist(), s.tolist()
         self._limits = _value_limits(mdp)
 
     def values(self, tau: float) -> list:
@@ -177,23 +195,23 @@ class ThresholdChain:
         g_0 = 0. One forward pass carries v_i = a_i + b_i V_B, and s_i = 1 - b_i
         as the sum of positive terms sigma_i + delta_i s_{i-1}, so V_B = a / s
         at the top state does not cancel as gamma nears 1. The values must pass
-        `evaluate_policy`'s Bellman-residual bound, with r + gamma P v
-        recomputed in every state from h, c and g, and its range check. The
-        held states share v, h and c, and each drifts to a state of the same
-        value, so their r + gamma P v is one number, computed once.
+        `_verify`'s checks.
         """
-        mdp = self.mdp
-        if not 0.0 <= tau <= mdp.space.backlash_level + 1e-12:
-            self._refuse(tau)
-        k = bisect_right(self._levels, tau)  # the states held at tau
-        return self._pass(k, float(mdp.harm.prob(tau)), float(mdp.cost.value(tau)))
+        return self._pass(self._held(tau), float(self.mdp.harm.prob(tau)),
+                          float(self.mdp.cost.value(tau)))
+
+    def gap(self, tau: float) -> float:
+        """Held value minus backlash value at tau: `gaps` for one threshold."""
+        return self._gap(self._held(tau), float(self.mdp.harm.prob(tau)),
+                         float(self.mdp.cost.value(tau)))
 
     def gaps(self, taus: np.ndarray) -> np.ndarray:
         """Held value minus backlash value at each threshold in taus.
 
         One `searchsorted` counts every threshold's held states, and one array
-        call each gives h and c, so a threshold costs only its `_pass`, with
-        `values`' residual and range checks. One threshold outside the space
+        call each gives h and c, so a threshold costs only its `_gap`. Every
+        threshold below the lowest level evaluates the same policy, exact
+        compliance, so they share one `_gap`. One threshold outside the space
         refuses the whole array.
         """
         mdp = self.mdp
@@ -201,31 +219,47 @@ class ThresholdChain:
         top = mdp.space.backlash_level + 1e-12
         if taus.size and not (taus.min() >= 0.0 and taus.max() <= top):
             self._refuse(taus[~((taus >= 0.0) & (taus <= top))][0])
-        ks = np.searchsorted(mdp.space.levels, taus, side="right").tolist()
-        hs, cs = mdp.harm.prob(taus).tolist(), mdp.cost.value(taus).tolist()
-        return np.array([v[0] - v[-1] for v in map(self._pass, ks, hs, cs)])
+        ks = np.searchsorted(mdp.space.levels, taus, side="right")
+        held = ks > 0
+        t = taus[held]
+        out = np.empty(taus.shape)
+        out[held] = list(map(self._gap, ks[held].tolist(), mdp.harm.prob(t).tolist(),
+                             mdp.cost.value(t).tolist()))
+        if not held.all():
+            out[~held] = self._gap(0, 0.0, 0.0)
+        return out
+
+    def _held(self, tau: float) -> int:
+        """The count of levels <= tau, once tau is known to lie in the space."""
+        if not 0.0 <= tau <= self.mdp.space.backlash_level + 1e-12:
+            self._refuse(tau)
+        return bisect_right(self._levels, tau)
 
     def _refuse(self, tau):
         raise DomainError(
             f"threshold must lie in [0, {self.mdp.space.backlash_level}], got {tau}"
         )
 
-    def _pass(self, k: int, h0: float, c0: float) -> list:
-        """`values`' forward pass and checks, given k = the count of levels <= tau.
+    def _start(self, k: int, h0: float, c0: float):
+        """(k, h0, c0, u, w, q): the held block's value is u + w V_B, q = 1 - w.
 
-        h0 and c0 are h(tau) and c(tau). At k = 0, tau lies below every
-        level, so state 0 complies with its own level and they are unused.
+        k counts the levels <= tau; h0 and c0 are h(tau) and c(tau). At k = 0,
+        tau lies below every level, so state 0 complies with its own level
+        and stands in for the held block: k becomes 1 and h0, c0 state 0's.
         """
-        gamma, alpha, beta, sigma = self.mdp.gamma, self._alpha, self._beta, self._sigma
-        if k:
-            d = 1.0 - gamma * (1.0 - h0)
-            a, b, s = -c0 / d, gamma * h0 / d, (1.0 - gamma) / d
-        else:  # tau lies below every level: state 0 complies with its own
-            k, h0, c0 = 1, self._h[0], self._c[0]
-            a, b, s = alpha[0], beta[0], sigma[0]
+        if not k:
+            alpha, beta, _, sigma = self._coef[0]
+            return 1, self._hg[0][0], self._c[0], alpha, beta, sigma
+        gamma = self.mdp.gamma
+        d = 1.0 - gamma * (1.0 - h0)
+        return k, h0, c0, -c0 / d, gamma * h0 / d, (1.0 - gamma) / d
+
+    def _pass(self, k: int, h0: float, c0: float) -> list:
+        """`values`' forward pass, given k = the count of levels <= tau."""
+        k, h0, c0, a, b, s = self._start(k, h0, c0)
         a0, b0 = a, b
         coef_a, coef_b = [], []
-        for al, be, de, si in zip(alpha[k:], beta[k:], self._delta[k:], sigma[k:]):
+        for al, be, de, si in self._coef[k:]:
             a = al + de * a
             b = be + de * b
             s = si + de * s
@@ -233,18 +267,47 @@ class ThresholdChain:
             coef_b.append(b)
         top = a / s
         held = a0 + b0 * top + 0.0  # + 0.0 turns -0.0 into 0.0
-        above = [x + y * top + 0.0 for x, y in zip(coef_a, coef_b)]
-        vb = above[-1] if above else held
+        v = [held] + [x + y * top + 0.0 for x, y in zip(coef_a, coef_b)]
+        self._verify(k, h0, c0, v)
+        return [held] * (k - 1) + v
+
+    def _gap(self, k: int, h0: float, c0: float) -> float:
+        """Held value minus backlash value, given k = the count of levels <= tau.
+
+        V_B comes from the backward pass in O(1); one substitution pass,
+        v_i = alpha_i + beta_i V_B + delta_i v_{i-1}, then fills in the values,
+        which must pass `_verify`'s checks. The checks take V_B from the last
+        of those values, so a wrong V_B shows up as a residual.
+        """
+        k, h0, c0, u, w, q = self._start(k, h0, c0)
+        rk = self._r[k]
+        vb = (self._p[k] + rk * u) / (self._s[k] + rk * q)
+        held = prev = u + w * vb
+        v = [held]
+        for al, be, de, _ in self._coef[k:]:
+            prev = al + be * vb + de * prev
+            v.append(prev)
+        self._verify(k, h0, c0, v)
+        return held - prev
+
+    def _verify(self, k: int, h0: float, c0: float, v: list) -> None:
+        """Refuse values whose Bellman residual or range breaks `_value_limits`.
+
+        v[0] is the shared value of states 0 .. k-1, which play effort tau
+        with harm h0 and cost c0, and v[1:] the values of states k .. n-1.
+        r + gamma P v is recomputed in every state from h, c and g, with V_B
+        the last value. The held states share v, h and c, and each drifts to
+        a state of the same value, so their r + gamma P v is one number,
+        computed once.
+        """
+        gamma = self.mdp.gamma
+        held, vb = v[0], v[-1]
         residual = abs(held - (gamma * (h0 * vb + (1.0 - h0) * held) - c0))
-        prev = held
-        for vi, hi, ci, gi in zip(above, self._h[k:], self._c[k:], self._g[k:]):
+        for prev, vi, (hi, gi), ci in zip(v, v[1:], self._hg[k:], self._c[k:]):
             r = abs(vi - (gamma * (hi * vb + (1.0 - hi) * (gi * prev + (1.0 - gi) * vi)) - ci))
             if r > residual:
                 residual = r
-            prev = vi
-        v = [held] * k + above
         _check(residual, min(v), max(v), self._limits)
-        return v
 
 
 def evaluate_threshold_policy(mdp: RegulationMdp, tau: float) -> ValueFunction:

@@ -131,14 +131,16 @@ def _hold_margin(chain: ThresholdChain, e: float) -> float:
     gap + c'(e) / (gamma * h'(e)) >= 0. That condition is multiplied through
     by -gamma * h'(e) >= 0 rather than divided by h'(e), which underflows to
     zero on steep harm curves; a zero slope then reads as "holding never pays".
-    The values come from the solve's chain, whose tables are built once.
-    This is the bisection's path; `optimal_threshold`'s scan computes the same
-    margins over arrays, in the same operation order, so this is also its
+    The gap comes from the solve's chain (`ThresholdChain.gap`): V_B in O(1)
+    from the tables built once per solve, then the values from it in one
+    pass, each of them checked against the Bellman residual bound and the
+    reward range as `evaluate_threshold_policy`'s are. This is the
+    bisection's path; `optimal_threshold`'s scan computes the same margins
+    over arrays, in the same operation order, so this is also its
     bit-for-bit reference.
     """
     mdp = chain.mdp
-    v = chain.values(e)
-    gap = v[0] - v[-1]
+    gap = chain.gap(e)
     return -mdp.gamma * float(mdp.harm.derivative(e)) * gap - float(mdp.cost.derivative(e))
 
 

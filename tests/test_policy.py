@@ -147,6 +147,49 @@ class TestThresholdEvaluation:
             evaluate(paid, 0.45)
 
 
+# configs where the closed-form backlash value is checked at every split
+CLOSED_FORM = {
+    "canonical": {},
+    "gamma 0.9999": {"gamma": 0.9999},
+    "201 states, gamma 0.9999": {"state_count": 201, "gamma": 0.9999},
+    "h_max 1": {"h_max": 1},
+    "drift 1": {"drift": 1},
+}
+
+
+def _assert_closed_form_matches(mdp):
+    """At every split k = 0 .. n, the closed-form gap is the forward pass's.
+
+    Split k holds states 0 .. k-1 at the effort levels[k - 1]; at k = 0 every
+    state complies, which no threshold gives when the lowest level is 0, so
+    the splits go through `_gap` and `_pass` directly. They must agree within
+    one (3n + 4)-ulp residual bound of the value scale; about 2 ulps is the
+    worst seen on these configs and draws.
+    """
+    chain = policy_module.ThresholdChain(mdp)
+    levels = mdp.space.levels.tolist()
+    n = len(levels)
+    assert (chain._p[n], chain._r[n], chain._s[n]) == (0.0, 1.0, 0.0)  # all states held
+    bound = chain._limits[1]  # (3n + 4) ulps of the value scale
+    for k in range(n + 1):
+        h0 = c0 = 0.0
+        if k:
+            h0, c0 = float(mdp.harm.prob(levels[k - 1])), float(mdp.cost.value(levels[k - 1]))
+        v = chain._pass(k, h0, c0)
+        assert abs(chain._gap(k, h0, c0) - (v[0] - v[-1])) <= bound, k
+
+
+class TestClosedFormGap:
+    @pytest.mark.parametrize("config", list(CLOSED_FORM))
+    def test_matches_the_forward_pass_at_every_split(self, config):
+        _assert_closed_form_matches(load_config(None, CLOSED_FORM[config]).mdp())
+
+    def test_matches_the_forward_pass_on_random_draws(self):
+        rng = np.random.default_rng(29)
+        for _ in range(30):
+            _assert_closed_form_matches(random_mdp(rng, (3, 60), (0.3, 0.9999)))
+
+
 def _overcharge(monkeypatch):
     """Make each chain's backup charge the states above tau 1e-6 more than their values paid."""
     build = policy_module.ThresholdChain.__init__

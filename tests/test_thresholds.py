@@ -158,11 +158,19 @@ def _candidates(mdp):
     return mdp.actions.efforts[mdp.actions.efforts <= mdp.space.backlash_level + 1e-12]
 
 
-def _scalar_scan(mdp, refine_tol=1e-6):
-    """The scan as one `_hold_margin` call per candidate, with the same bracket and bisection."""
+def _forward_margin(chain, e):
+    """`_hold_margin` with its gap from the forward pass, `ThresholdChain.values`."""
+    mdp = chain.mdp
+    v = chain.values(e)
+    return (-mdp.gamma * float(mdp.harm.derivative(e)) * (v[0] - v[-1])
+            - float(mdp.cost.derivative(e)))
+
+
+def _scalar_scan(mdp, margin=thresholds._hold_margin, refine_tol=1e-6):
+    """The scan as one margin call per candidate, with the same bracket and bisection."""
     chain = ThresholdChain(mdp)
     cand = _candidates(mdp)
-    margins = np.array([thresholds._hold_margin(chain, e) for e in cand.tolist()])
+    margins = np.array([margin(chain, e) for e in cand.tolist()])
     holds = margins >= 0.0
     if not holds.any():
         return margins, 0.0
@@ -170,8 +178,7 @@ def _scalar_scan(mdp, refine_tol=1e-6):
     if i == cand.size - 1:
         return margins, float(cand[-1])
     lo, hi = float(cand[i]), float(cand[i + 1])
-    return margins, _bisect(lambda e: thresholds._hold_margin(chain, e) >= 0.0, lo, hi,
-                            refine_tol)
+    return margins, _bisect(lambda e: margin(chain, e) >= 0.0, lo, hi, refine_tol)
 
 
 def _assert_scan_matches_scalar(mdp):
@@ -179,6 +186,9 @@ def _assert_scan_matches_scalar(mdp):
     scanned = thresholds._scan_margins(ThresholdChain(mdp), _candidates(mdp))
     assert scanned.tobytes() == margins.tobytes()
     assert optimal_threshold(mdp).hex() == stable.hex()
+    # an independent reference: every gap from the forward pass, not the
+    # closed form that the scan and the bisection share
+    assert _scalar_scan(mdp, _forward_margin)[1].hex() == stable.hex()
 
 
 class TestArrayScan:
@@ -192,6 +202,22 @@ class TestArrayScan:
         rng = np.random.default_rng(17)
         for _ in range(30):
             _assert_scan_matches_scalar(random_mdp(rng))
+
+    def test_candidates_below_every_level_share_one_evaluation(self, monkeypatch):
+        mdp = load_config(None, {"state_min": 0.5}).mdp()
+        cand = _candidates(mdp)
+        assert (cand.size, int((cand < mdp.space.levels[0]).sum())) == (1001, 500)
+        held_counts = []
+        gap = ThresholdChain._gap
+
+        def counting(self, k, h0, c0):
+            held_counts.append(k)
+            return gap(self, k, h0, c0)
+
+        monkeypatch.setattr(ThresholdChain, "_gap", counting)
+        thresholds._scan_margins(ThresholdChain(mdp), cand)
+        assert len(held_counts) == 502
+        assert held_counts.count(0) == 1
 
     def test_a_slice_boundary_changes_nothing(self, mdp, monkeypatch):
         whole = thresholds._scan_margins(ThresholdChain(mdp), _candidates(mdp))
