@@ -147,6 +147,20 @@ def _validate(settings: dict) -> tuple[list, dict]:
     for lo, hi, holds, relation in _ORDERINGS:
         if lo in passed and hi in passed and not holds(passed[lo], passed[hi]):
             problems.append(f"{lo} ({passed[lo]!r}) {relation} {hi} ({passed[hi]!r})")
+    # c(effort_max), its slope and c(effort_max) / (1 - gamma) bound the costs,
+    # slopes and values that solves and rollouts form; Python floats overflow
+    # to inf here without a warning
+    for a, b in (("cost_a", "cost_b"), ("cost_a2", "cost_b2")):
+        keys = (a, b, "effort_max", "gamma")
+        if all(key in passed for key in keys):
+            qa, qb, top, gamma = (passed[key] for key in keys)
+            c_top = qa * top * top + qb * top
+            if not max(c_top, 2.0 * qa * top + qb, c_top / (1.0 - gamma)) <= sys.float_info.max:
+                problems.append(
+                    f"{a} ({qa!r}) and {b} ({qb!r}) must keep c(effort_max), c'(effort_max) "
+                    f"and c(effort_max) / (1 - gamma) finite at effort_max ({top!r}) and "
+                    f"gamma ({gamma!r})"
+                )
     return problems, passed
 
 

@@ -16,7 +16,9 @@ SFC64 stream. They run on up to one thread per available CPU, each thread
 taking a contiguous share of the batches and advancing up to three of them
 per array pass, so each NumPy call covers more work between hand-offs of the
 interpreter lock. Each batch writes its own slice of one returns array, so an
-estimate is bit-identical whatever the thread count.
+estimate is bit-identical whatever the thread count. A worker's scratch takes
+27 bytes per episode up to 255 states and 28 up to 65,535, and an episode's
+last step adds its reward and draws nothing.
 """
 
 import os
@@ -159,18 +161,23 @@ def _step_tables(mdp: RegulationMdp, policy: Policy):
 
 
 class _Scratch:
-    """Arrays one worker reuses for every span it runs, 26 bytes per episode.
+    """Arrays one worker reuses for every span it runs.
 
     A worker sizes them for one span of at most _SPAN batches, so its memory
-    stays flat in the episode count.
+    stays flat in the episode count. Besides the intp depth that indexes the
+    tables, each episode's depth is kept in the narrowest unsigned dtype that
+    holds n_states, which depth + 1 reaches at the bottom state just before
+    the harm reset: 27 bytes per episode up to 255 states, 28 up to 65,535
+    and 30 beyond.
     """
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, n_states: int):
         self.uniforms = np.empty(size)
         self.probs = np.empty(size)
         self.kept = np.empty(size, dtype=bool)
         self.moved = np.empty(size, dtype=bool)
         self.depth = np.empty(size, dtype=np.intp)
+        self.small_depth = np.empty(size, dtype=np.min_scalar_type(n_states))
 
 
 def _batch_returns(
@@ -195,39 +202,45 @@ def _batch_returns(
     if u < h[s], else one state down if u < m[s], else stay, where
     m = h + (1 - h) * g is the probability of harm or drift. A state is held
     as its depth below the top state, over reversed tables, so moving down
-    adds 1 and the harm reset multiplies by (u >= h), with no mask. Each step
-    scales the small per-state reward table by the discount and then gathers
-    from it, which gives the same products as scaling after the gather.
+    adds 1 and the harm reset multiplies by (u >= h), with no mask. Those two
+    updates run on the narrow unsigned copy of the depth, which is then
+    copied once into the intp depth that the three gathers index with. Each
+    step scales the small per-state reward table by the discount and then
+    gathers from it, which gives the same products as scaling after the
+    gather. The loop ends once the last step's reward is added, or once the
+    discount underflows to 0, so no move is drawn that no reward reads.
     Every array operation writes into preallocated arrays, so a step
     allocates nothing.
     """
     n = total.size
-    u, p, kept, moved, depth = (
+    u, p, kept, moved, depth, small_depth = (
         scratch.uniforms[:n], scratch.probs[:n], scratch.kept[:n],
-        scratch.moved[:n], scratch.depth[:n],
+        scratch.moved[:n], scratch.depth[:n], scratch.small_depth[:n],
     )
     draws = [u[k * _BATCH : (k + 1) * _BATCH] for k in range(len(rngs))]
     harm, reward, move = (t[::-1].copy() for t in (harm_by_state, reward_by_state, move_by_state))
     discounted = np.empty_like(reward)
-    depth.fill(harm.size - 1 - start_index)
+    small_depth.fill(harm.size - 1 - start_index)
+    np.copyto(depth, small_depth)
     total.fill(0.0)
     disc = 1.0
-    for _ in range(horizon):
+    for step in range(1, horizon + 1):
         np.multiply(reward, disc, out=discounted)
         # mode="clip" keeps take from buffering its output; indices are in range
         np.take(discounted, depth, out=p, mode="clip")
         total += p
+        disc *= gamma
+        if step == horizon or disc == 0.0:  # no later reward would read a move
+            break
         for rng, out in zip(rngs, draws):
             rng.random(out=out)
         np.take(harm, depth, out=p, mode="clip")
         np.greater_equal(u, p, out=kept)
         np.take(move, depth, out=p, mode="clip")
         np.less(u, p, out=moved)
-        depth += moved  # m[0] == h[0], so the bottom state never moves down
-        depth *= kept  # harm resets to the top state, depth 0
-        disc *= gamma
-        if disc == 0.0:
-            break
+        small_depth += moved  # m[0] == h[0], so the bottom state moves only under harm
+        small_depth *= kept  # harm resets to the top state, depth 0
+        np.copyto(depth, small_depth)
 
 
 def estimate_value(
@@ -274,7 +287,7 @@ def estimate_value(
 
     def run(worker: int) -> None:
         try:
-            scratch = _Scratch(min(_SPAN * _BATCH, n_episodes))
+            scratch = _Scratch(min(_SPAN * _BATCH, n_episodes), mdp.space.n_states)
             last = (worker + 1) * n_batches // workers
             for first in range(worker * n_batches // workers, last, _SPAN):
                 if failures:

@@ -99,6 +99,14 @@ class TestLoadConfig:
         ({"start_state": True}, "start_state must be a number or null, got True"),
         ({"effort_max": 2.0, "action_step": 1e-6}, "action_step (1e-06) must keep the action "
          "grid within its cap of 1,000,000 steps up to effort_max (2.0)"),
+        # c(effort_max) and its slope overflow
+        ({"cost_a": 1e300, "effort_max": 1e5, "action_step": 1.0}, "cost_a (1e+300) and "
+         "cost_b (0.1) must keep c(effort_max), c'(effort_max) and c(effort_max) / (1 - gamma) "
+         "finite at effort_max (100000.0) and gamma (0.9)"),
+        # only the slope 2 a e + b overflows
+        ({"cost_a2": 1e308, "gamma": 0}, "cost_a2 (1e+308) and cost_b2 (0.05) must keep "
+         "c(effort_max), c'(effort_max) and c(effort_max) / (1 - gamma) finite at effort_max "
+         "(1.0) and gamma (0)"),
     ])
     def test_one_mistake_gives_one_message(self, settings, message):
         with pytest.raises(ConfigError) as exc:
@@ -445,6 +453,23 @@ class TestExitCodeSweep:
         code, err = self.run_text(tmp_path, capsys, command, text)
         assert code == 2, err
         assert err.startswith(f"config error: {key} must be ")
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS + ["verify"])
+    @pytest.mark.parametrize("text, keys", [
+        # c(1) is finite but its slope and c(1) / (1 - gamma) are not; simulate
+        # would otherwise run a 7,321,855-step horizon
+        ('{"cost_a": 1e308, "gamma": 0.9999}', ("cost_a", "cost_b")),
+        # only the discounted sum c(1) / (1 - gamma) overflows
+        ('{"cost_b2": 1e305, "gamma": 0.9999}', ("cost_a2", "cost_b2")),
+    ])
+    def test_an_overflowing_cost_exits_two_without_a_warning(self, tmp_path, capsys, command,
+                                                             text, keys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = self.run_text(tmp_path, capsys, command, text)
+        assert code == 2, err
+        assert err.startswith(f"config error: {keys[0]} (")
+        assert f" and {keys[1]} (" in err and "effort_max" in err and "gamma" in err
 
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     @pytest.mark.parametrize("text, message", [

@@ -17,6 +17,8 @@ from regmdp import (
     RegulationMdp,
     ValueEstimate,
     agreement_z,
+    build_action_grid,
+    build_state_space,
     estimate_value,
     evaluate_policy,
     minimal_horizon,
@@ -179,6 +181,33 @@ class TestBitIdentity:
         est = estimate_value(mdp, pol, start_level=0.0, n_episodes=2 * 8192 + 1, seed=3)
         assert est == reference_estimate(mdp, pol, 2 * 8192 + 1, est.horizon, 3, start_index=0)
 
+    @pytest.mark.parametrize("n_states", [255, 256, 257])
+    @pytest.mark.parametrize("horizon", [1, 2], ids=["no-move", "one-move"])
+    @pytest.mark.parametrize("start_index", [None, 0], ids=["top-start", "bottom-start"])
+    def test_where_the_depth_dtype_widens(self, mdp, cpus, n_states, horizon, start_index):
+        # depth + 1 reaches n_states at the bottom state just before the harm
+        # reset; its narrow dtype is uint8 up to 255 states and uint16 from
+        # 256, and at 257 the bottom state's own depth 256 needs uint16
+        space = build_state_space(0.0, 1.0, n_states, 1.0)
+        wide = RegulationMdp(
+            space, build_action_grid(1.0, 1e-3, space.levels), mdp.harm, mdp.cost,
+            DriftModel.constant(0.3, n_states), mdp.gamma,
+        )
+        pol = Policy.comply(space)
+        start = None if start_index is None else float(space.levels[start_index])
+        est = estimate_value(wide, pol, start_level=start, n_episodes=8192 + 3, horizon=horizon,
+                             seed=13, max_truncation_bias=10.0)
+        assert est == reference_estimate(wide, pol, 8192 + 3, horizon, 13, start_index)
+
+    @pytest.mark.parametrize("n_states, dtype", [
+        (255, np.uint8), (256, np.uint16), (65_535, np.uint16), (65_536, np.uint32),
+    ])
+    def test_the_narrow_depth_holds_the_state_count(self, n_states, dtype):
+        # a dtype holding only n_states - 1 would wrap depth + 1 to 0 at the
+        # bottom state, which the harm reset then zeroes anyway, so no
+        # estimate can show it; the update must not lean on that wraparound
+        assert simulate._Scratch(1, n_states).small_depth.dtype == dtype
+
     def test_when_the_discount_underflows(self, mdp, cpus):
         # gamma**k reaches the subnormals and then 0 well inside the horizon,
         # where the batches stop early; the reference runs every step
@@ -207,9 +236,9 @@ class TestFlatMemory:
         sizes = []
 
         class Recording(simulate._Scratch):
-            def __init__(self, size):
+            def __init__(self, size, n_states):
                 sizes.append(size)
-                super().__init__(size)
+                super().__init__(size, n_states)
 
         monkeypatch.setattr(simulate, "_Scratch", Recording)
         pol = Policy.threshold(mdp.space, 0.45)
@@ -232,7 +261,7 @@ class TestTransitionLaw:
         harm, reward, move = simulate._step_tables(mdp, pol)
         n = 100_000
         total = np.empty(n)
-        scratch = simulate._Scratch(n)
+        scratch = simulate._Scratch(n, mdp.space.n_states)
         for start in range(mdp.space.n_states):
             # one generator per 8192-episode slice, as estimate_value passes them
             rngs = [simulate._episode_rng(41, (start, k)) for k in range(-(-n // 8192))]
