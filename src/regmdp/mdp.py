@@ -222,6 +222,17 @@ class RegulationMdp:
             )
         if self.actions.e_max < self.space.backlash_level - 1e-12:
             raise ConstructionError("the action grid must reach the backlash level")
+        # c(e_max), its slope and c(e_max) / (1 - gamma) bound every cost,
+        # slope and value that solves and rollouts form
+        e_max = self.actions.e_max
+        with np.errstate(over="ignore", invalid="ignore"):
+            c_top = float(self.cost.value(e_max))
+            scales = (c_top, float(self.cost.derivative(e_max)), c_top / (1.0 - self.gamma))
+        if not all(map(math.isfinite, scales)):
+            raise ConstructionError(
+                f"the cost must keep c(e_max), c'(e_max) and c(e_max) / (1 - gamma) finite "
+                f"at e_max {e_max!r} and gamma {self.gamma!r}, got {scales}"
+            )
         off = _distance_to(self.actions.efforts, self.space.levels) > _LEVEL_ATOL
         if off.any():  # each level must sit on the grid; name the first that does not
             raise DomainError(

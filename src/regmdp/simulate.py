@@ -13,12 +13,14 @@ estimator `estimate_value` draws one uniform per episode and step and picks
 the next state by inverse transform (harm, one state down, or stay), which
 halves the generator work. Its 8192-episode batches each draw from their own
 SFC64 stream. They run on up to one thread per available CPU, each thread
-taking a contiguous share of the batches and advancing up to three of them
+taking a contiguous share of the batches and advancing up to eight of them
 per array pass, so each NumPy call covers more work between hand-offs of the
-interpreter lock. Each batch writes its own slice of one returns array, so an
-estimate is bit-identical whatever the thread count. A worker's scratch takes
-27 bytes per episode up to 255 states and 28 up to 65,535, and an episode's
-last step adds its reward and draws nothing.
+interpreter lock; at 1e5 episodes on two CPUs each share is one pass. Each
+batch writes its own slice of one returns array, so an estimate is
+bit-identical whatever the thread count. A worker's scratch takes 26 bytes
+per episode up to 255 states and 27 up to 65,535, about 1.7 MB for a full
+span, and an episode's last step adds its reward and draws nothing. A run is
+refused before it starts when n_episodes * horizon exceeds 1e11 episode-steps.
 """
 
 import os
@@ -33,7 +35,8 @@ from .mdp import Policy, RegulationMdp
 
 _Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 _BATCH = 8192  # episodes per SFC64 stream, keyed by (seed, batch index)
-_SPAN = 3  # consecutive batches that each array pass advances together
+_SPAN = 8  # consecutive batches that each array pass advances together
+_MAX_EPISODE_STEPS = 10**11  # cap on n_episodes * horizon, minutes of rollouts
 
 
 class TrajectoryStep(NamedTuple):
@@ -164,18 +167,18 @@ class _Scratch:
     """Arrays one worker reuses for every span it runs.
 
     A worker sizes them for one span of at most _SPAN batches, so its memory
-    stays flat in the episode count. Besides the intp depth that indexes the
-    tables, each episode's depth is kept in the narrowest unsigned dtype that
-    holds n_states, which depth + 1 reaches at the bottom state just before
-    the harm reset: 27 bytes per episode up to 255 states, 28 up to 65,535
-    and 30 beyond.
+    stays flat in the episode count: at most 8 * 8192 episodes, about 1.7 MB.
+    Besides the intp depth that indexes the tables, each episode's depth is
+    kept in the narrowest unsigned dtype that holds n_states, which depth + 1
+    reaches at the bottom state just before the harm reset. One bool buffer
+    holds first the move flags and then the no-harm flags of a step: 26 bytes
+    per episode up to 255 states, 27 up to 65,535 and 29 beyond.
     """
 
     def __init__(self, size: int, n_states: int):
         self.uniforms = np.empty(size)
         self.probs = np.empty(size)
-        self.kept = np.empty(size, dtype=bool)
-        self.moved = np.empty(size, dtype=bool)
+        self.flags = np.empty(size, dtype=bool)
         self.depth = np.empty(size, dtype=np.intp)
         self.small_depth = np.empty(size, dtype=np.min_scalar_type(n_states))
 
@@ -204,18 +207,19 @@ def _batch_returns(
     as its depth below the top state, over reversed tables, so moving down
     adds 1 and the harm reset multiplies by (u >= h), with no mask. Those two
     updates run on the narrow unsigned copy of the depth, which is then
-    copied once into the intp depth that the three gathers index with. Each
-    step scales the small per-state reward table by the discount and then
-    gathers from it, which gives the same products as scaling after the
-    gather. The loop ends once the last step's reward is added, or once the
-    discount underflows to 0, so no move is drawn that no reward reads.
-    Every array operation writes into preallocated arrays, so a step
-    allocates nothing.
+    copied once into the intp depth that the three gathers index with. Both
+    flags are read off that unchanged intp depth, so one bool buffer serves
+    the move and then the reset. Each step scales the small per-state reward
+    table by the discount and then gathers from it, which gives the same
+    products as scaling after the gather. The loop ends once the last step's
+    reward is added, or once the discount underflows to 0, so no move is
+    drawn that no reward reads. Every array operation writes into
+    preallocated arrays, so a step allocates nothing.
     """
     n = total.size
-    u, p, kept, moved, depth, small_depth = (
-        scratch.uniforms[:n], scratch.probs[:n], scratch.kept[:n],
-        scratch.moved[:n], scratch.depth[:n], scratch.small_depth[:n],
+    u, p, flag, depth, small_depth = (
+        scratch.uniforms[:n], scratch.probs[:n], scratch.flags[:n],
+        scratch.depth[:n], scratch.small_depth[:n],
     )
     draws = [u[k * _BATCH : (k + 1) * _BATCH] for k in range(len(rngs))]
     harm, reward, move = (t[::-1].copy() for t in (harm_by_state, reward_by_state, move_by_state))
@@ -234,12 +238,12 @@ def _batch_returns(
             break
         for rng, out in zip(rngs, draws):
             rng.random(out=out)
-        np.take(harm, depth, out=p, mode="clip")
-        np.greater_equal(u, p, out=kept)
         np.take(move, depth, out=p, mode="clip")
-        np.less(u, p, out=moved)
-        small_depth += moved  # m[0] == h[0], so the bottom state moves only under harm
-        small_depth *= kept  # harm resets to the top state, depth 0
+        np.less(u, p, out=flag)
+        small_depth += flag  # m[0] == h[0], so the bottom state moves only under harm
+        np.take(harm, depth, out=p, mode="clip")
+        np.greater_equal(u, p, out=flag)
+        small_depth *= flag  # harm resets to the top state, depth 0
         np.copyto(depth, small_depth)
 
 
@@ -259,11 +263,15 @@ def estimate_value(
     time on the calling thread plus one helper thread per further CPU in the
     process's affinity set, never more threads than batches. Thread w of W takes the contiguous
     batches [w * nb // W, (w + 1) * nb // W) and runs them in spans of up to
-    _SPAN, one _batch_returns call per span; the estimate is bit-identical
-    whatever the thread count. An error in any span is raised here once every
-    thread has stopped. A horizon of None picks the shortest one meeting the
+    _SPAN, one _batch_returns call per span, so at 1e5 episodes on two CPUs
+    each thread's share is one call; the estimate is bit-identical whatever
+    the thread count. An error in any span is raised here once every thread
+    has stopped. A horizon of None picks the shortest one meeting the
     truncation-bias target, which must be positive; an explicit horizon that
-    misses the target raises and names the minimal admissible one.
+    misses the target raises and names the minimal admissible one. A run of
+    more than 1e11 episode-steps (n_episodes * horizon) raises DomainError
+    before any thread starts: as gamma nears 1 the minimal horizon grows
+    without bound, and 1e11 steps already take minutes.
     """
     seed = _check_seed(seed)
     if n_episodes < 2:
@@ -277,6 +285,12 @@ def estimate_value(
     if bound > max_truncation_bias:
         raise HorizonTooShortError(
             horizon, minimal_horizon(mdp, max_truncation_bias), bound, max_truncation_bias
+        )
+    if n_episodes * horizon > _MAX_EPISODE_STEPS:
+        raise DomainError(
+            f"n_episodes ({n_episodes}) * horizon ({horizon}) at gamma {mdp.gamma!r} is "
+            f"{n_episodes * horizon:.3g} episode-steps, more than the cap of "
+            f"{_MAX_EPISODE_STEPS:.0e}; use fewer episodes or a smaller gamma"
         )
     start = mdp.space.backlash_index if start_level is None else mdp.space.index_of(start_level)
     tables = _step_tables(mdp, policy)

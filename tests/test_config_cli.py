@@ -537,6 +537,17 @@ class TestCliInAFreshProcess:
         done = run_in_child("-c", code, command, "--config", cfg)
         assert done.returncode == 0, done.stderr
 
+    @pytest.mark.parametrize("gamma", [0.9999999, 0.9999999999999999])
+    def test_a_simulate_beyond_the_episode_step_cap_exits_two(self, tmp_path, gamma):
+        # minimal horizons of 2.9e8 and 4.5e17 steps: without the cap the run
+        # would not end, and the timeout turns that into a failure
+        cfg = write_json(tmp_path / "c.json", {"gamma": gamma})
+        code = "import sys; from regmdp.cli import run; sys.exit(run(sys.argv[1:]))"
+        done = run_in_child("-c", code, "simulate", "--config", cfg)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("input error: n_episodes (100000) * horizon (")
+        assert f"at gamma {gamma!r} is " in done.stderr
+
     def test_runs_without_scipy(self, tmp_path):
         code = (
             "import json, sys\n"

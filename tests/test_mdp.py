@@ -1,11 +1,14 @@
 """State space, action grid, policies, and transition structure."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from regmdp import (
     ActionGrid,
     ConstructionError,
+    CostModel,
     DomainError,
     DriftModel,
     FeasibilityError,
@@ -204,6 +207,18 @@ class TestRegulationMdp:
         with pytest.raises(DomainError, match=r"^effort 0\.3333 is not on the action grid$"):
             RegulationMdp(space, build_action_grid(1.0, 0.05), harm, cost,
                           DriftModel.constant(0.3, 6), 0.9)
+
+    @pytest.mark.parametrize("a, b, gamma", [
+        (1e308, 0.1, 0.9999),  # c(1) is finite, its slope and discounted sum are not
+        (1e308, 0.1, 0.0),  # only the slope overflows
+        (1e307, 0.1, 0.9999),  # only c(1) / (1 - gamma) overflows
+        (1e308, 1e308, 0.0),  # c(1) itself overflows
+    ])
+    def test_rejects_a_cost_that_overflows(self, space, actions, harm, drift, a, b, gamma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConstructionError, match=r"c\(e_max\) / \(1 - gamma\) finite"):
+                RegulationMdp(space, actions, harm, CostModel(a, b), drift, gamma)
 
     def test_rejects_grid_below_backlash(self, space, harm, cost, drift):
         grid = build_action_grid(0.5, 1e-3)

@@ -210,6 +210,9 @@ class _Payout:
     def value(self, e):
         return -self.cost.value(e)
 
+    def derivative(self, e):
+        return -self.cost.derivative(e)
+
 
 # configs at the edges of what load_config accepts
 EDGES = {

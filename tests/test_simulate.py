@@ -111,6 +111,31 @@ class TestHorizons:
         # stopping before the first step cuts off the whole return, bounded by cost(e_max)
         assert truncation_bound(m0, 0) == mdp.cost.value(mdp.actions.e_max)
 
+    def test_a_run_beyond_the_episode_step_cap_is_refused_before_it_starts(
+        self, mdp, monkeypatch
+    ):
+        # n_episodes * horizon may reach 1e11; the rollouts are stubbed out,
+        # so only the check runs
+        calls = []
+
+        def no_rollout(total, *args):
+            calls.append(len(total))
+            total.fill(0.0)
+
+        monkeypatch.setattr(simulate, "_batch_returns", no_rollout)
+        pol = Policy.comply(mdp.space)
+        patient = RegulationMdp(mdp.space, mdp.actions, mdp.harm, mdp.cost, mdp.drift, 0.9999)
+        assert estimate_value(patient, pol).horizon == 225_139  # 2.25e10 episode-steps
+        estimate_value(mdp, pol, n_episodes=10**5, horizon=10**6)
+        calls.clear()
+        with pytest.raises(DomainError, match=r"n_episodes \(100000\) \* horizon \(1000001\)"):
+            estimate_value(mdp, pol, n_episodes=10**5, horizon=10**6 + 1)
+        endless = RegulationMdp(mdp.space, mdp.actions, mdp.harm, mdp.cost, mdp.drift,
+                                0.9999999999999999)
+        with pytest.raises(DomainError, match=r"at gamma 0\.9999999999999999 is 4\.51e\+22"):
+            estimate_value(endless, pol)
+        assert calls == []
+
     def test_short_horizon_raises_and_names_the_fix(self, mdp):
         pol = Policy.comply(mdp.space)
         with pytest.raises(HorizonTooShortError) as exc:
@@ -169,7 +194,7 @@ class TestBitIdentity:
     """estimate_value equals the serial reference exactly, whatever the thread count."""
 
     @pytest.mark.parametrize(
-        "n_episodes", [2, 8191, 8192, 8193, 3 * 8192 + 5, 7 * 8192 + 1, 100_000]
+        "n_episodes", [2, 8191, 8192, 8193, 3 * 8192 + 5, 7 * 8192 + 1, 17 * 8192 + 5, 100_000]
     )
     def test_matches_the_serial_reference(self, mdp, cpus, n_episodes):
         pol = Policy.threshold(mdp.space, 0.45)
@@ -231,7 +256,7 @@ class TestBitIdentity:
 
 class TestFlatMemory:
     def test_scratch_never_exceeds_one_span(self, mdp, monkeypatch):
-        # each worker sizes its scratch for one span of three batches, however
+        # each worker sizes its scratch for one span of eight batches, however
         # many episodes it runs
         sizes = []
 
@@ -246,7 +271,21 @@ class TestFlatMemory:
             monkeypatch.setattr(simulate, "_available_cpus", lambda: cpus)
             estimate_value(mdp, pol, n_episodes=40 * 8192 + 3, seed=2)
         assert len(sizes) == 3
-        assert all(size <= 3 * 8192 for size in sizes)
+        assert all(size <= 8 * 8192 for size in sizes)
+
+    def test_each_share_of_a_default_run_on_two_cpus_is_one_pass(self, mdp, monkeypatch):
+        # 1e5 episodes are 13 batches, shared 6 and 7 between two workers
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: 2)
+        calls = []
+        real = simulate._batch_returns
+
+        def counting(total, rngs, *args):
+            calls.append(len(rngs))
+            real(total, rngs, *args)
+
+        monkeypatch.setattr(simulate, "_batch_returns", counting)
+        estimate_value(mdp, Policy.threshold(mdp.space, 0.45), n_episodes=100_000, seed=2)
+        assert sorted(calls) == [6, 7]
 
 
 class TestTransitionLaw:
