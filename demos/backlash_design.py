@@ -46,7 +46,7 @@ print("\nraising the ceiling to 2.5 makes it work:")
 design = design_backlash(welfare, 0.9, template, drift, tol=1e-6, e_max=2.5)
 print(f"  designed backlash level  = {design.designed_e_h:.6f}")
 print(f"  stable floor it induces  = {design.achieved_threshold:.6f}")
-print(f"  break-even residual      = {design.residual:.2e}")
+print(f"  hold margin at e*        = {design.residual:.2e}  (per period; 0 is break-even)")
 print(f"  degenerate               = {design.degenerate}")
 
 

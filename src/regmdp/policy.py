@@ -2,10 +2,11 @@
 
 Threshold policies, the ones the solver scans, are evaluated in O(n) over
 the chain's structure (`ThresholdChain`), whose threshold-independent tables
-are built once per solve. A scan or bisection candidate takes its backlash
-value in O(1) from a backward pass in those tables, then its values from it
-in one substitution pass, and they still pass the Bellman-residual and range
-checks; the scan calls the model over arrays of candidates. The final values
+are built once per solve. The chain is the one place the hold margin is
+computed (`ThresholdChain.margins`), for the solve and the backlash design: a
+threshold takes its backlash value in O(1) from a backward pass in those
+tables, then its values in one substitution pass, which still pass the
+Bellman-residual and range checks. The final values
 (`evaluate_threshold_policy`, which builds the tables for one threshold) come
 from a forward pass instead. Any other policy is evaluated by solving the
 linear fixed point v = r + gamma P v densely (`evaluate_policy`), which also
@@ -28,6 +29,7 @@ from .mdp import Policy, RegulationMdp, StateSpace
 
 _IMPROVEMENT_TOL = 1e-9  # a smaller one-step gain is rounding, not an improvement
 _IMPROVEMENT_STEPS = 100  # policy iteration's guard; it settles in a handful
+_SCAN_SLICE = 4096  # thresholds per array call in `ThresholdChain.margins`
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,13 +157,11 @@ class ThresholdChain:
     is a sum of positive terms, so V_B does not cancel as gamma nears 1.
 
     `values` gives the final values of one threshold by the forward pass
-    `_pass`. `gap` (one threshold) and `gaps` (an array of them, with one
-    `searchsorted` and one array call each for h and c) give the held value
-    minus the backlash value by `_gap`: V_B from the backward pass, then the
-    values from it by one substitution pass. Both paths check their values
-    with `_verify`, and neither makes a NumPy call over the states:
-    `optimal_threshold` builds one chain per solve and scans some 600 to
-    1,000 thresholds on it.
+    `_pass`. `margins` (and `margin` for one threshold) give the hold margin
+    from `_gap`: V_B from the backward pass, then the values from it by one
+    substitution pass. Both paths check their values with `_verify`, and
+    neither makes a NumPy call over the states: `optimal_threshold` builds one
+    chain per solve and scans some 600 to 1,000 thresholds on it.
     """
 
     __slots__ = ("mdp", "_levels", "_coef", "_hg", "_c", "_p", "_r", "_s", "_limits")
@@ -200,33 +200,46 @@ class ThresholdChain:
         return self._pass(self._held(tau), float(self.mdp.harm.prob(tau)),
                           float(self.mdp.cost.value(tau)))
 
-    def gap(self, tau: float) -> float:
-        """Held value minus backlash value at tau: `gaps` for one threshold."""
-        return self._gap(self._held(tau), float(self.mdp.harm.prob(tau)),
-                         float(self.mdp.cost.value(tau)))
+    def margin(self, tau: float) -> float:
+        """`margins` at one threshold, in Python floats, bit for bit."""
+        mdp = self.mdp
+        gap = self._gap(self._held(tau), float(mdp.harm.prob(tau)), float(mdp.cost.value(tau)))
+        return -mdp.gamma * float(mdp.harm.derivative(tau)) * gap - float(mdp.cost.derivative(tau))
 
-    def gaps(self, taus: np.ndarray) -> np.ndarray:
-        """Held value minus backlash value at each threshold in taus.
+    def margins(self, taus: np.ndarray) -> np.ndarray:
+        """-gamma h'(tau) gap(tau) - c'(tau) at each threshold tau in taus.
 
-        One `searchsorted` counts every threshold's held states, and one array
-        call each gives h and c, so a threshold costs only its `_gap`. Every
-        threshold below the lowest level evaluates the same policy, exact
-        compliance, so they share one `_gap`. One threshold outside the space
-        refuses the whole array.
+        Where it is >= 0, every state below tau prefers holding tau to any
+        lower effort; the stable effort is the supremum of that region. It is
+        gap + c'(tau) / (gamma h'(tau)) >= 0 multiplied through by
+        -gamma h'(tau) >= 0, not divided by h'(tau), which underflows to 0 on
+        steep harm curves. The thresholds go `_SCAN_SLICE` at a time, so no
+        list grows to the action grid's size. In a slice, one `searchsorted`
+        gives the held counts and one array call each h and c; the thresholds
+        below every level all evaluate exact compliance and share one `_gap`.
+        h' and c' are taken once the gaps have passed their checks, as in
+        `margin`, so both raise the same error on the same model. One
+        threshold outside the space refuses the whole array.
         """
         mdp = self.mdp
         taus = np.asarray(taus, dtype=float)
         top = mdp.space.backlash_level + 1e-12
         if taus.size and not (taus.min() >= 0.0 and taus.max() <= top):
             self._refuse(taus[~((taus >= 0.0) & (taus <= top))][0])
-        ks = np.searchsorted(mdp.space.levels, taus, side="right")
-        held = ks > 0
-        t = taus[held]
         out = np.empty(taus.shape)
-        out[held] = list(map(self._gap, ks[held].tolist(), mdp.harm.prob(t).tolist(),
-                             mdp.cost.value(t).tolist()))
-        if not held.all():
-            out[~held] = self._gap(0, 0.0, 0.0)
+        for start in range(0, taus.size, _SCAN_SLICE):
+            e = taus[start:start + _SCAN_SLICE]
+            ks = np.searchsorted(mdp.space.levels, e, side="right")
+            held = ks > 0
+            t = e[held]
+            gaps = np.empty(e.shape)
+            gaps[held] = list(map(self._gap, ks[held].tolist(), mdp.harm.prob(t).tolist(),
+                                  mdp.cost.value(t).tolist()))
+            if not held.all():
+                gaps[~held] = self._gap(0, 0.0, 0.0)
+            out[start:start + e.size] = (
+                -mdp.gamma * mdp.harm.derivative(e) * gaps - mdp.cost.derivative(e)
+            )
         return out
 
     def _held(self, tau: float) -> int:
@@ -277,18 +290,22 @@ class ThresholdChain:
         V_B comes from the backward pass in O(1); one substitution pass,
         v_i = alpha_i + beta_i V_B + delta_i v_{i-1}, then fills in the values,
         which must pass `_verify`'s checks. The checks take V_B from the last
-        of those values, so a wrong V_B shows up as a residual.
+        of those values, so a wrong V_B shows up as a residual. The gap is
+        u - q V_B = (-c(tau) - (1 - gamma) V_B) / (1 - gamma (1 - h(tau))): the
+        held value and V_B grow like 1 / (1 - gamma), so their difference is
+        rounding noise as gamma nears 1. The held value is V_B + gap (w + q = 1).
         """
-        k, h0, c0, u, w, q = self._start(k, h0, c0)
+        k, h0, c0, u, _, q = self._start(k, h0, c0)
         rk = self._r[k]
         vb = (self._p[k] + rk * u) / (self._s[k] + rk * q)
-        held = prev = u + w * vb
-        v = [held]
+        gap = u - q * vb
+        prev = vb + gap
+        v = [prev]
         for al, be, de, _ in self._coef[k:]:
             prev = al + be * vb + de * prev
             v.append(prev)
         self._verify(k, h0, c0, v)
-        return held - prev
+        return gap
 
     def _verify(self, k: int, h0: float, c0: float, v: list) -> None:
         """Refuse values whose Bellman residual or range breaks `_value_limits`.

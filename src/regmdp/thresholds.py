@@ -20,13 +20,12 @@ from .errors import (
     InsufficientMaxEffortError,
 )
 from .mdp import ActionGrid, RegulationMdp, StateSpace, build_action_grid
-from .policy import ThresholdChain, evaluate_threshold_policy
+from .policy import ThresholdChain
 from .primitives import (
     CostModel, DriftModel, HarmModel, WelfareModel, _bisect, socially_optimal_effort,
 )
 
 _ATTAIN_TOL = 1e-3  # how close a requirement must come to an optimum to attain it
-_SCAN_SLICE = 4096  # scan candidates per array call: at the 1e6-step cap, no 1e6-entry lists
 
 # ---------------------------------------------------------------------------
 # static audit regime
@@ -120,48 +119,6 @@ def static_optimal_effort(
 # ---------------------------------------------------------------------------
 
 
-def _hold_margin(chain: ThresholdChain, e: float) -> float:
-    """Margin by which holding effort e beats letting the requirement slide.
-
-    Positive means every state below e prefers holding e to any lower effort;
-    the stable effort is the supremum of the region where this stays
-    non-negative. Uses the fact that all states at or below the threshold
-    share the low-state value, so the comparison reduces to the value gap
-    against the backlash state plus the local cost/harm trade-off:
-    gap + c'(e) / (gamma * h'(e)) >= 0. That condition is multiplied through
-    by -gamma * h'(e) >= 0 rather than divided by h'(e), which underflows to
-    zero on steep harm curves; a zero slope then reads as "holding never pays".
-    The gap comes from the solve's chain (`ThresholdChain.gap`): V_B in O(1)
-    from the tables built once per solve, then the values from it in one
-    pass, each of them checked against the Bellman residual bound and the
-    reward range as `evaluate_threshold_policy`'s are. This is the
-    bisection's path; `optimal_threshold`'s scan computes the same margins
-    over arrays, in the same operation order, so this is also its
-    bit-for-bit reference.
-    """
-    mdp = chain.mdp
-    gap = chain.gap(e)
-    return -mdp.gamma * float(mdp.harm.derivative(e)) * gap - float(mdp.cost.derivative(e))
-
-
-def _scan_margins(chain: ThresholdChain, cand: np.ndarray) -> np.ndarray:
-    """`_hold_margin` at every candidate, bit for bit, over arrays.
-
-    Walks the candidates a slice of at most `_SCAN_SLICE` at a time: the gaps
-    of a slice come from `ThresholdChain.gaps`, and h'(e) and c'(e) from one
-    array call each, taken only once the gaps have passed their checks.
-    """
-    mdp = chain.mdp
-    margins = np.empty(cand.size)
-    for start in range(0, cand.size, _SCAN_SLICE):
-        e = cand[start:start + _SCAN_SLICE]
-        gaps = chain.gaps(e)
-        margins[start:start + e.size] = (
-            -mdp.gamma * mdp.harm.derivative(e) * gaps - mdp.cost.derivative(e)
-        )
-    return margins
-
-
 def optimal_threshold(mdp: RegulationMdp, refine_tol: float = 1e-6) -> float:
     """The stable effort: the highest threshold the platform holds voluntarily.
 
@@ -169,7 +126,8 @@ def optimal_threshold(mdp: RegulationMdp, refine_tol: float = 1e-6) -> float:
     condition, then refines the last sign change by bisection on the
     continuous margin down to refine_tol. The scan and the bisection evaluate
     every threshold on one `ThresholdChain`, built once per solve; the scan
-    takes the model over arrays of candidates (`_scan_margins`). Returns 0
+    takes the model over arrays of candidates (`ThresholdChain.margins`) and
+    the bisection one threshold at a time (`ThresholdChain.margin`). Returns 0
     when the condition holds nowhere (then complying exactly is already
     optimal), as for every myopic platform: at gamma = 0 each margin is -c'(e).
     """
@@ -177,7 +135,7 @@ def optimal_threshold(mdp: RegulationMdp, refine_tol: float = 1e-6) -> float:
         raise DomainError(f"refine_tol must be positive, got {refine_tol}")
     chain = ThresholdChain(mdp)
     cand = mdp.actions.efforts[mdp.actions.efforts <= mdp.space.backlash_level + 1e-12]
-    margins = _scan_margins(chain, cand)
+    margins = chain.margins(cand)
     holds = margins >= 0.0
     if not holds.any():
         return 0.0
@@ -185,7 +143,7 @@ def optimal_threshold(mdp: RegulationMdp, refine_tol: float = 1e-6) -> float:
     if i == cand.size - 1:
         return float(cand[-1])
     lo, hi = float(cand[i]), float(cand[i + 1])  # margin(lo) >= 0 > margin(hi)
-    return _bisect(lambda e: _hold_margin(chain, e) >= 0.0, lo, hi, refine_tol)
+    return _bisect(lambda e: chain.margin(e) >= 0.0, lo, hi, refine_tol)
 
 
 def overreaction_gap(mdp: RegulationMdp, welfare: WelfareModel) -> float:
@@ -213,7 +171,11 @@ def overreaction_gap(mdp: RegulationMdp, welfare: WelfareModel) -> float:
 
 @dataclass(frozen=True)
 class BacklashDesign:
-    """Outcome of tuning the backlash level to make a target effort stable."""
+    """Outcome of tuning the backlash level to make a target effort stable.
+
+    residual is the hold margin at the target on the designed chain, in
+    per-period cost units (O(1) at every gamma); NaN for a degenerate design.
+    """
 
     target_e_star: float
     designed_e_h: float
@@ -244,18 +206,18 @@ def design_backlash(
     """Pick the backlash level that makes the socially optimal effort stable.
 
     The template's lower levels stay fixed while its top level is replaced by
-    each probe, so the comparison isolates the backlash parameter. Holding the
-    target effort is exactly break-even when the backlash state is painful
-    enough that its value shortfall matches a constant K built from the cost
-    and harm curves at the target; the probe function
-
-        G(e_h) = -value_at_backlash(threshold policy at target) - K
-
+    each probe e_h, so the comparison isolates the backlash parameter. A
+    probe is the hold margin at the target e* on its chain,
+    `ThresholdChain.margin(e*)`, the condition `optimal_threshold` solves; it
     is negative for weak backlash levels and crosses zero before the effort
-    ceiling whenever the ceiling's cost is sufficiently large. Bisection on
-    the bracket pins the level to within tol, then the designed MDP is
-    re-solved and the achieved stable effort must land within two action-grid
-    steps of the target.
+    ceiling whenever the ceiling's cost is sufficiently large. It equals
+    (-gamma h'(e*) / H) (1 - gamma) (-V_B - K), H = 1 - gamma (1 - h(e*)), a
+    positive multiple of the backlash value's shortfall from the lifetime
+    cost K (`_design_constant`, computed only to report an infeasible design),
+    when e* is at or above the lowest fixed level; a template above e* is
+    refused before any probe. Bisection on the bracket pins the level to
+    within tol, then the designed MDP is re-solved and the achieved stable
+    effort must land within two action-grid steps of the target.
     """
     if not 0.0 < gamma < 1.0:
         raise DomainError(
@@ -283,36 +245,29 @@ def design_backlash(
         e_h = min(float(lower[-1]) + max(tol, action_step), e_max)
         achieved = optimal_threshold(probe_mdp(e_h))
         return BacklashDesign(e_star, e_h, achieved, math.nan, degenerate=True)
+    if lower[0] > e_star:
+        raise ConstructionError(
+            f"the template's fixed levels start at {lower[0]:.6g}, above the target "
+            f"{e_star:.6g}, so no state can hold it"
+        )
 
-    k_constant = _design_constant(welfare, gamma, e_star)
-
-    def probe_gap(e_h: float) -> float:
-        vf = evaluate_threshold_policy(probe_mdp(e_h), e_star)
-        return -vf.at_backlash - k_constant
+    def probe(e_h: float) -> float:
+        return ThresholdChain(probe_mdp(e_h)).margin(e_star)
 
     lo = max(e_star, float(lower[-1]) + 1e-9)
-    if lo >= e_max:
+    if lo >= e_max or probe(e_max) <= 0.0:
+        k_constant = _design_constant(welfare, gamma, e_star)
         raise InsufficientMaxEffortError(k_constant, float(cost.value(e_max)))
-    gap_hi = probe_gap(e_max)
-    if gap_hi <= 0.0:
-        raise InsufficientMaxEffortError(k_constant, float(cost.value(e_max)))
-    gap_lo = probe_gap(lo)
-    if gap_lo > 0.0:
+    if probe(lo) > 0.0:
         raise ConstructionError(
             "the template's fixed levels sit too high: the probe already overshoots "
             f"at the smallest valid backlash level {lo:.6g}"
         )
-    e_h = _bisect(lambda e: probe_gap(e) <= 0.0, lo, e_max, tol)
-    residual = probe_gap(e_h)
+    e_h = _bisect(lambda e: probe(e) <= 0.0, lo, e_max, tol)
+    residual = probe(e_h)
 
     achieved = optimal_threshold(probe_mdp(e_h))
     if abs(achieved - e_star) > 2.0 * action_step:
-        if lower[0] > e_star:
-            raise ConstructionError(
-                f"the template's fixed levels start at {lower[0]:.6g}, above the target "
-                f"{e_star:.6g}, so no state can hold it; the designed backlash level "
-                f"{e_h:.6g} yields stable effort {achieved:.6g}"
-            )
         if tol > action_step:
             # a bracket wider than the action grid's step can leave the level
             # far enough off to move the stable effort by several steps

@@ -272,9 +272,10 @@ class TestCliCommands:
         if code == 2:
             assert "refine_tol" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("state_min, code", [(0.65, 0), (0.67, 0), (0.69, 1), (0.7, 1), (0.9, 1)])
+    @pytest.mark.parametrize("state_min, code", [(0.6, 0), (0.65, 1), (0.67, 1), (0.69, 1),
+                                                  (0.7, 1), (0.9, 1)])
     def test_design_backlash_with_a_high_template(self, tmp_path, capsys, state_min, code):
-        # from 0.69 up, every fixed level sits above the target 0.628, so no
+        # from 0.65 up, every fixed level sits above the target 0.628, so no
         # state can hold it: a failed design, not an internal error
         cfg = write_json(tmp_path / "c.json", {"state_min": state_min, "effort_max": 2.5})
         out = tmp_path / "design.csv"
@@ -286,6 +287,14 @@ class TestCliCommands:
             assert abs(float(row["achieved_threshold"]) - float(row["target_effort"])) <= 2e-3
         else:
             assert "fixed levels start at" in capsys.readouterr().err
+
+    def test_design_backlash_at_gamma_1_minus_2_53(self, tmp_path):
+        # the held and backlash values reach 4.4e15 here while the hold
+        # margin stays O(1)
+        cfg = write_json(tmp_path / "c.json", {"gamma": 0.9999999999999999, "effort_max": 2.5})
+        assert run(["design-backlash", "--config", cfg, "--out", str(tmp_path / "d.csv")]) == 0
+        meta = json.loads((tmp_path / "d.meta.json").read_text())
+        assert meta["results"]["achieved_threshold"] == pytest.approx(0.628473, abs=2e-3)
 
     def test_design_backlash_zero_damage_is_degenerate(self, tmp_path):
         cfg = write_json(tmp_path / "c.json", {"damage": 0})

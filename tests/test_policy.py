@@ -120,7 +120,7 @@ class TestThresholdEvaluation:
     ], ids=["above", "below", "nan"])
     def test_the_scan_refuses_a_threshold_outside_the_space(self, mdp, taus, named):
         with pytest.raises(DomainError, match=f"threshold must lie in .*, got {named}$"):
-            policy_module.ThresholdChain(mdp).gaps(np.array(taus))
+            policy_module.ThresholdChain(mdp).margins(np.array(taus))
 
     def test_a_backup_off_by_more_than_rounding_is_refused(self, mdp, monkeypatch):
         _overcharge(monkeypatch)
@@ -180,6 +180,12 @@ def _assert_closed_form_matches(mdp):
 
 
 class TestClosedFormGap:
+    """The gap u - q V_B = (-c(tau) - (1 - gamma) V_B) / (1 - gamma (1 - h(tau))).
+
+    V_B comes from the backward pass; the forward pass's held value minus its
+    V_B is the reference.
+    """
+
     @pytest.mark.parametrize("config", list(CLOSED_FORM))
     def test_matches_the_forward_pass_at_every_split(self, config):
         _assert_closed_form_matches(load_config(None, CLOSED_FORM[config]).mdp())

@@ -1,9 +1,11 @@
 """Stable effort, backlash design, static audits, and the two-cost sweep."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from regmdp import load_config, thresholds
+from regmdp import load_config, policy, thresholds
 from regmdp import (
     ConstructionError,
     CostModel,
@@ -116,13 +118,10 @@ class TestOptimalThreshold:
         assert stable == pytest.approx(0.45075146484375, abs=1e-5)
 
     def test_stable_effort_is_where_holding_stops_paying(self, mdp):
-        from regmdp.policy import ThresholdChain
-        from regmdp.thresholds import _hold_margin
-
         stable = optimal_threshold(mdp)
         chain = ThresholdChain(mdp)
-        assert _hold_margin(chain, stable - 1e-3) > 0
-        assert _hold_margin(chain, stable + 1e-3) < 0
+        assert chain.margin(stable - 1e-3) > 0
+        assert chain.margin(stable + 1e-3) < 0
 
     def test_myopic_platform_holds_nothing(self, mdp):
         m0 = RegulationMdp(mdp.space, mdp.actions, mdp.harm, mdp.cost, mdp.drift, 0.0)
@@ -159,14 +158,14 @@ def _candidates(mdp):
 
 
 def _forward_margin(chain, e):
-    """`_hold_margin` with its gap from the forward pass, `ThresholdChain.values`."""
+    """`ThresholdChain.margin` with its gap from the forward pass, `ThresholdChain.values`."""
     mdp = chain.mdp
     v = chain.values(e)
     return (-mdp.gamma * float(mdp.harm.derivative(e)) * (v[0] - v[-1])
             - float(mdp.cost.derivative(e)))
 
 
-def _scalar_scan(mdp, margin=thresholds._hold_margin, refine_tol=1e-6):
+def _scalar_scan(mdp, margin=ThresholdChain.margin, refine_tol=1e-6):
     """The scan as one margin call per candidate, with the same bracket and bisection."""
     chain = ThresholdChain(mdp)
     cand = _candidates(mdp)
@@ -183,7 +182,7 @@ def _scalar_scan(mdp, margin=thresholds._hold_margin, refine_tol=1e-6):
 
 def _assert_scan_matches_scalar(mdp):
     margins, stable = _scalar_scan(mdp)
-    scanned = thresholds._scan_margins(ThresholdChain(mdp), _candidates(mdp))
+    scanned = ThresholdChain(mdp).margins(_candidates(mdp))
     assert scanned.tobytes() == margins.tobytes()
     assert optimal_threshold(mdp).hex() == stable.hex()
     # an independent reference: every gap from the forward pass, not the
@@ -215,21 +214,27 @@ class TestArrayScan:
             return gap(self, k, h0, c0)
 
         monkeypatch.setattr(ThresholdChain, "_gap", counting)
-        thresholds._scan_margins(ThresholdChain(mdp), cand)
+        ThresholdChain(mdp).margins(cand)
         assert len(held_counts) == 502
         assert held_counts.count(0) == 1
 
     def test_a_slice_boundary_changes_nothing(self, mdp, monkeypatch):
-        whole = thresholds._scan_margins(ThresholdChain(mdp), _candidates(mdp))
-        monkeypatch.setattr(thresholds, "_SCAN_SLICE", 7)
-        sliced = thresholds._scan_margins(ThresholdChain(mdp), _candidates(mdp))
+        whole = ThresholdChain(mdp).margins(_candidates(mdp))
+        monkeypatch.setattr(policy, "_SCAN_SLICE", 7)
+        sliced = ThresholdChain(mdp).margins(_candidates(mdp))
         assert sliced.tobytes() == whole.tobytes()
 
     def test_margins_change_sign_at_most_once(self):
+        # 150 draws up to gamma 0.9999, then 60 at the patient edge, where
+        # the held and backlash values grow like 1 / (1 - gamma) and only
+        # the gap formed from (1 - gamma) V_B keeps its sign
         rng = np.random.default_rng(23)
-        for case in range(150):
+        patient = (1 - 1e-9, 1 - 1e-12, 1 - 2.0**-53)
+        for case in range(210):
             mdp = random_mdp(rng, (3, 40), (0.3, 0.9999))
-            holds = thresholds._scan_margins(ThresholdChain(mdp), _candidates(mdp)) >= 0.0
+            if case >= 150:
+                mdp = dataclasses.replace(mdp, gamma=patient[case % 3])
+            holds = ThresholdChain(mdp).margins(_candidates(mdp)) >= 0.0
             changes = np.nonzero(holds[1:] != holds[:-1])[0]
             assert changes.size <= 1, f"case {case}: sign changes after candidates {changes}"
 
@@ -305,6 +310,39 @@ class TestDesignBacklash:
         template = build_state_space(0.0, 1.0, 11, 1.0)
         with pytest.raises(ConstructionError):
             design_backlash(welfare, 0.9, template, drift, e_max=0.9)
+
+    def test_a_template_above_the_target_is_refused_before_any_probe(
+        self, welfare, drift, monkeypatch
+    ):
+        # every fixed level sits above e* = 0.628, so no state can hold it
+        def no_probe(*args):
+            raise AssertionError("a probe built its action grid")
+
+        monkeypatch.setattr(thresholds, "build_action_grid", no_probe)
+        template = build_state_space(0.65, 2.5, 11, 1.0)
+        with pytest.raises(ConstructionError, match="fixed levels start at 0.65, above"):
+            design_backlash(welfare, 0.9, template, drift, e_max=2.5)
+
+
+# the canonical stable effort at gamma = 1, from the long-run average-cost margin
+LIMIT = 0.497391113
+
+
+class TestPatientPlatform:
+    # near gamma = 1 the held and backlash values grow like 1 / (1 - gamma)
+    # while the hold margin stays O(1)
+    @pytest.mark.parametrize("gamma", [1 - 1e-12, 1 - 2.0**-53], ids=["1-1e-12", "1-2**-53"])
+    def test_the_stable_effort_keeps_its_digits(self, gamma):
+        assert optimal_threshold(load_config(None, {"gamma": gamma}).mdp()) == pytest.approx(
+            LIMIT, abs=1e-6)
+
+    @pytest.mark.parametrize("gamma", [0.9999, 1 - 1e-8, 1 - 1e-12, 1 - 2.0**-53],
+                             ids=["0.9999", "1-1e-8", "1-1e-12", "1-2**-53"])
+    def test_the_design_residual_is_a_per_period_margin(self, welfare, drift, gamma):
+        template = build_state_space(0.0, 2.5, 11, 1.0)
+        design = design_backlash(welfare, gamma, template, drift, e_max=2.5)
+        assert abs(design.achieved_threshold - E_STAR) <= 2e-3
+        assert abs(design.residual) <= 1e-6
 
 
 class TestImpossibility:
