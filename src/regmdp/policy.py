@@ -131,8 +131,10 @@ def q_value(mdp: RegulationMdp, vfun: ValueFunction, e_c: float, e: float) -> fl
     """One-step lookahead value of playing effort e in state e_c.
 
     The effort need not sit on the action grid; harm and cost are continuous,
-    which is what lets threshold refinement move between grid points.
+    which is what lets threshold refinement move between grid points. The
+    value function must live on the MDP's state space.
     """
+    _require_same_space(mdp, vfun.space)
     if e < e_c - 1e-12:
         raise FeasibilityError(f"effort {e} falls below the required level {e_c}")
     return float(_lookahead(mdp, vfun.values, mdp.space.index_of(e_c), e))

@@ -12,19 +12,21 @@ decides harm and, without harm, a second draw decides drift. The batched
 estimator `estimate_value` draws one uniform per episode and step and picks
 the next state by inverse transform (harm, one state down, or stay), which
 halves the generator work. Its 8192-episode batches each draw from their own
-SFC64 stream. They run on up to one thread per available CPU, each thread
-taking a contiguous share of the batches and advancing up to eight of them
-per array pass, so each NumPy call covers more work between hand-offs of the
-interpreter lock; at 1e5 episodes on two CPUs each share is one pass. Each
-batch writes its own slice of one returns array, so an estimate is
-bit-identical whatever the thread count. A worker's scratch takes 26 bytes
-per episode up to 255 states and 27 up to 65,535, about 1.7 MB for a full
-span, and an episode's last step adds its reward and draws nothing. A run is
-refused before it starts when n_episodes * horizon exceeds 1e11 episode-steps.
+SFC64 stream. They are cut into one contiguous share per available CPU: the
+calling thread runs the first share and a standard thread pool the rest.
+One routine, `_share_returns`, runs a share, advancing up to eight of its
+batches per array pass, so each NumPy call covers more work between
+hand-offs of the interpreter lock; at 1e5 episodes on two CPUs each share is
+one pass. Each batch writes its own slice of one returns array, so an
+estimate is bit-identical whatever the thread count. A share's buffers take
+26 bytes per episode up to 255 states and 27 up to 65,535, about 1.7 MB for
+a full span, and an episode's last step adds its reward and draws nothing.
+Both entry points refuse a policy on another state space, and a run is
+refused before it starts when n_episodes * horizon exceeds 1e11
+episode-steps.
 """
 
 import os
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,6 +34,7 @@ import numpy as np
 
 from .errors import DomainError, HorizonTooShortError
 from .mdp import Policy, RegulationMdp
+from .policy import _require_same_space
 
 _Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 _BATCH = 8192  # episodes per SFC64 stream, keyed by (seed, batch index)
@@ -84,6 +87,7 @@ def sample_trajectory(
     the transition law.
     """
     seed = _check_seed(seed)
+    _require_same_space(mdp, policy.space)
     if horizon < 1:
         raise DomainError(f"horizon must be at least 1, got {horizon}")
     s = mdp.space.backlash_index if start_level is None else mdp.space.index_of(start_level)
@@ -163,30 +167,10 @@ def _step_tables(mdp: RegulationMdp, policy: Policy):
     return harm_by_state, reward_by_state, harm_by_state + (1.0 - harm_by_state) * mdp.drift.probs
 
 
-class _Scratch:
-    """Arrays one worker reuses for every span it runs.
-
-    A worker sizes them for one span of at most _SPAN batches, so its memory
-    stays flat in the episode count: at most 8 * 8192 episodes, about 1.7 MB.
-    Besides the intp depth that indexes the tables, each episode's depth is
-    kept in the narrowest unsigned dtype that holds n_states, which depth + 1
-    reaches at the bottom state just before the harm reset. One bool buffer
-    holds first the move flags and then the no-harm flags of a step: 26 bytes
-    per episode up to 255 states, 27 up to 65,535 and 29 beyond.
-    """
-
-    def __init__(self, size: int, n_states: int):
-        self.uniforms = np.empty(size)
-        self.probs = np.empty(size)
-        self.flags = np.empty(size, dtype=bool)
-        self.depth = np.empty(size, dtype=np.intp)
-        self.small_depth = np.empty(size, dtype=np.min_scalar_type(n_states))
-
-
-def _batch_returns(
-    total: np.ndarray,
-    rngs: list,
-    scratch: _Scratch,
+def _share_returns(
+    returns: np.ndarray,
+    batches: range,
+    seed: int,
     start_index: int,
     horizon: int,
     gamma: float,
@@ -194,12 +178,23 @@ def _batch_returns(
     reward_by_state: np.ndarray,
     move_by_state: np.ndarray,
 ) -> None:
-    """Write the discounted returns of len(total) episodes into total.
+    """Write the discounted returns of one share's batches into their slice of returns.
 
-    Episodes k * _BATCH up to (k + 1) * _BATCH draw from rngs[k]. Each step
+    Batch k holds episodes k * _BATCH up to (k + 1) * _BATCH and draws from
+    its own stream, keyed by (seed, k). The share's five buffers are
+    allocated once, for at most one span of _SPAN batches, so its memory
+    stays flat in the episode count: 26 bytes per episode up to 255 states,
+    27 up to 65,535 and 29 beyond, about 1.7 MB for a full span. Besides the
+    intp depth that indexes the tables, each episode's depth is kept in the
+    narrowest unsigned dtype that holds n_states, which depth + 1 reaches at
+    the bottom state just before the harm reset. One bool buffer holds first
+    the move flags and then the no-harm flags of a step.
+
+    Each array pass advances one span of consecutive batches. Each step
     fills their uniforms with one random() call per generator, in order, and
-    every other pass then runs once over all the episodes, so a wider call
-    hands the interpreter lock over less often and draws the same numbers.
+    every other operation then runs once over the whole span, so a wider
+    call hands the interpreter lock over less often and draws the same
+    numbers.
 
     The next state is sampled by inverse transform: harm (to the top state)
     if u < h[s], else one state down if u < m[s], else stay, where
@@ -216,35 +211,42 @@ def _batch_returns(
     drawn that no reward reads. Every array operation writes into
     preallocated arrays, so a step allocates nothing.
     """
-    n = total.size
-    u, p, flag, depth, small_depth = (
-        scratch.uniforms[:n], scratch.probs[:n], scratch.flags[:n],
-        scratch.depth[:n], scratch.small_depth[:n],
+    share = returns[batches.start * _BATCH : batches.stop * _BATCH]
+    size = min(_SPAN * _BATCH, share.size)
+    buffers = (
+        np.empty(size), np.empty(size), np.empty(size, dtype=bool),
+        np.empty(size, dtype=np.intp), np.empty(size, dtype=np.min_scalar_type(harm_by_state.size)),
     )
-    draws = [u[k * _BATCH : (k + 1) * _BATCH] for k in range(len(rngs))]
     harm, reward, move = (t[::-1].copy() for t in (harm_by_state, reward_by_state, move_by_state))
     discounted = np.empty_like(reward)
-    small_depth.fill(harm.size - 1 - start_index)
-    np.copyto(depth, small_depth)
-    total.fill(0.0)
-    disc = 1.0
-    for step in range(1, horizon + 1):
-        np.multiply(reward, disc, out=discounted)
-        # mode="clip" keeps take from buffering its output; indices are in range
-        np.take(discounted, depth, out=p, mode="clip")
-        total += p
-        disc *= gamma
-        if step == horizon or disc == 0.0:  # no later reward would read a move
-            break
-        for rng, out in zip(rngs, draws):
-            rng.random(out=out)
-        np.take(move, depth, out=p, mode="clip")
-        np.less(u, p, out=flag)
-        small_depth += flag  # m[0] == h[0], so the bottom state moves only under harm
-        np.take(harm, depth, out=p, mode="clip")
-        np.greater_equal(u, p, out=flag)
-        small_depth *= flag  # harm resets to the top state, depth 0
+    for first in range(0, len(batches), _SPAN):
+        total = share[first * _BATCH : (first + _SPAN) * _BATCH]
+        u, p, flag, depth, small_depth = (b[: total.size] for b in buffers)
+        draws = [
+            (_episode_rng(seed, (batch,)), u[k * _BATCH : (k + 1) * _BATCH])
+            for k, batch in enumerate(batches[first : first + _SPAN])
+        ]
+        small_depth.fill(harm.size - 1 - start_index)
         np.copyto(depth, small_depth)
+        total.fill(0.0)
+        disc = 1.0
+        for step in range(1, horizon + 1):
+            np.multiply(reward, disc, out=discounted)
+            # mode="clip" keeps take from buffering its output; indices are in range
+            np.take(discounted, depth, out=p, mode="clip")
+            total += p
+            disc *= gamma
+            if step == horizon or disc == 0.0:  # no later reward would read a move
+                break
+            for rng, out in draws:
+                rng.random(out=out)
+            np.take(move, depth, out=p, mode="clip")
+            np.less(u, p, out=flag)
+            small_depth += flag  # m[0] == h[0], so the bottom state moves only under harm
+            np.take(harm, depth, out=p, mode="clip")
+            np.greater_equal(u, p, out=flag)
+            small_depth *= flag  # harm resets to the top state, depth 0
+            np.copyto(depth, small_depth)
 
 
 def estimate_value(
@@ -259,23 +261,35 @@ def estimate_value(
     """Monte Carlo estimate of a policy's value from one start state.
 
     Episodes run in fixed-size batches, each on its own SFC64 stream whose
-    SeedSequence is keyed by (seed, batch index). The batches run at the same
-    time on the calling thread plus one helper thread per further CPU in the
-    process's affinity set, never more threads than batches. Thread w of W takes the contiguous
-    batches [w * nb // W, (w + 1) * nb // W) and runs them in spans of up to
-    _SPAN, one _batch_returns call per span, so at 1e5 episodes on two CPUs
-    each thread's share is one call; the estimate is bit-identical whatever
-    the thread count. An error in any span is raised here once every thread
-    has stopped. A horizon of None picks the shortest one meeting the
+    SeedSequence is keyed by (seed, batch index). The batches are cut into W
+    contiguous shares, one per CPU in the process's affinity set and never
+    more than there are batches: share w takes the batches
+    [w * nb // W, (w + 1) * nb // W). The calling thread runs share 0, and a
+    thread pool runs the others alongside it; at one CPU nothing goes to the
+    pool and no thread starts. Each share runs in spans of up to _SPAN
+    batches (`_share_returns`), so at 1e5 episodes on two CPUs each share is
+    one span, and the estimate is bit-identical whatever the thread count.
+    A failing share does not stop the others; its error is raised here once
+    every share has ended, the caller's own first.
+
+    The policy must live on the MDP's state space, and no effort may exceed
+    the action ceiling e_max, since the truncation bound assumes costs of at
+    most c(e_max). A horizon of None picks the shortest one meeting the
     truncation-bias target, which must be positive; an explicit horizon that
     misses the target raises and names the minimal admissible one. A run of
     more than 1e11 episode-steps (n_episodes * horizon) raises DomainError
-    before any thread starts: as gamma nears 1 the minimal horizon grows
+    before any rollout starts: as gamma nears 1 the minimal horizon grows
     without bound, and 1e11 steps already take minutes.
     """
     seed = _check_seed(seed)
     if n_episodes < 2:
         raise DomainError(f"need at least 2 episodes for a confidence width, got {n_episodes}")
+    _require_same_space(mdp, policy.space)
+    if policy.efforts.max() > mdp.actions.e_max + 1e-12:
+        raise DomainError(
+            f"policy effort {policy.efforts.max()!r} exceeds the action ceiling "
+            f"{mdp.actions.e_max!r}, past which the truncation bound does not hold"
+        )
     _check_bias_target("max_truncation_bias", max_truncation_bias)
     if horizon is None:
         horizon = minimal_horizon(mdp, max_truncation_bias)
@@ -293,39 +307,21 @@ def estimate_value(
             f"{_MAX_EPISODE_STEPS:.0e}; use fewer episodes or a smaller gamma"
         )
     start = mdp.space.backlash_index if start_level is None else mdp.space.index_of(start_level)
-    tables = _step_tables(mdp, policy)
     n_batches = -(-n_episodes // _BATCH)
     workers = min(_available_cpus(), n_batches)
+    shares = [range(w * n_batches // workers, (w + 1) * n_batches // workers)
+              for w in range(workers)]
+    args = (seed, start, horizon, mdp.gamma, *_step_tables(mdp, policy))
     returns = np.empty(n_episodes)
-    failures = []
+    # imported here, not at the top: concurrent.futures loads logging, which
+    # would add about 0.7 MB and a few ms to every `import regmdp`
+    from concurrent.futures import ThreadPoolExecutor
 
-    def run(worker: int) -> None:
-        try:
-            scratch = _Scratch(min(_SPAN * _BATCH, n_episodes), mdp.space.n_states)
-            last = (worker + 1) * n_batches // workers
-            for first in range(worker * n_batches // workers, last, _SPAN):
-                if failures:
-                    return
-                span = range(first, min(first + _SPAN, last))
-                _batch_returns(
-                    returns[first * _BATCH : span.stop * _BATCH],
-                    [_episode_rng(seed, (batch,)) for batch in span], scratch, start,
-                    horizon, mdp.gamma, *tables,
-                )
-        except Exception as err:  # re-raised by the caller once every worker has stopped
-            failures.append(err)
-
-    helpers = [threading.Thread(target=run, args=(k,)) for k in range(1, workers)]
-    try:
+    with ThreadPoolExecutor(workers) as pool:
+        helpers = [pool.submit(_share_returns, returns, share, *args) for share in shares[1:]]
+        _share_returns(returns, shares[0], *args)
         for helper in helpers:
-            helper.start()
-        run(0)
-    finally:
-        for helper in helpers:
-            if helper.is_alive():
-                helper.join()
-    if failures:
-        raise failures[0]
+            helper.result()
     mean = float(returns.mean())
     sd = float(returns.std(ddof=1))
     half_width = _Z_95 * sd / np.sqrt(n_episodes)

@@ -378,6 +378,14 @@ class TestQValues:
         with pytest.raises(FeasibilityError):
             q_value(mdp, vf, 0.5, 0.3)
 
+    def test_q_refuses_a_value_function_of_another_state_space(self, mdp):
+        from regmdp import FeasibilityError, StateSpace
+
+        finer = StateSpace(np.linspace(0.0, 1.0, 21))
+        vf = ValueFunction(finer, np.full(21, -5.0))
+        with pytest.raises(FeasibilityError, match="different state spaces"):
+            q_value(mdp, vf, 0.5, 0.5)
+
 
 class TestValueIteration:
     def test_myopic_optimum_is_exact_compliance(self, mdp):

@@ -11,10 +11,12 @@ from regmdp import simulate
 from regmdp import (
     DomainError,
     DriftModel,
+    FeasibilityError,
     HarmModel,
     HorizonTooShortError,
     Policy,
     RegulationMdp,
+    StateSpace,
     ValueEstimate,
     agreement_z,
     build_action_grid,
@@ -82,6 +84,9 @@ class TestSampleTrajectory:
             sample_trajectory(mdp, pol, seed=0, horizon=10, start_level=0.123)
         with pytest.raises(DomainError):  # not a silent start at state 0
             sample_trajectory(mdp, pol, seed=0, horizon=10, start_level=np.nan)
+        elsewhere = Policy.comply(StateSpace(np.linspace(0.2, 1.0, 11)))
+        with pytest.raises(FeasibilityError, match="different state spaces"):
+            sample_trajectory(mdp, elsewhere, seed=0, horizon=10)
 
 
 class TestHorizons:
@@ -118,11 +123,11 @@ class TestHorizons:
         # so only the check runs
         calls = []
 
-        def no_rollout(total, *args):
-            calls.append(len(total))
-            total.fill(0.0)
+        def no_rollout(returns, batches, *args):
+            calls.append(batches)
+            returns[batches.start * 8192 : batches.stop * 8192] = 0.0
 
-        monkeypatch.setattr(simulate, "_batch_returns", no_rollout)
+        monkeypatch.setattr(simulate, "_share_returns", no_rollout)
         pol = Policy.comply(mdp.space)
         patient = RegulationMdp(mdp.space, mdp.actions, mdp.harm, mdp.cost, mdp.drift, 0.9999)
         assert estimate_value(patient, pol).horizon == 225_139  # 2.25e10 episode-steps
@@ -182,6 +187,22 @@ def reference_estimate(mdp, policy, n_episodes, horizon, seed, start_index=None)
     )
 
 
+def record_allocations(monkeypatch):
+    """Record (size, dtype) of every np.empty call that simulate makes."""
+    allocated = []
+
+    class Recording:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, size, dtype=float):
+            allocated.append((size, np.dtype(dtype)))
+            return np.empty(size, dtype=dtype)
+
+    monkeypatch.setattr(simulate, "np", Recording())
+    return allocated
+
+
 @pytest.fixture(params=[None, 1, 2, 8], ids=["machine-cpus", "one-cpu", "two-cpus", "eight-cpus"])
 def cpus(request, monkeypatch):
     """The CPU count estimate_value sees: the machine's, or forced."""
@@ -227,11 +248,14 @@ class TestBitIdentity:
     @pytest.mark.parametrize("n_states, dtype", [
         (255, np.uint8), (256, np.uint16), (65_535, np.uint16), (65_536, np.uint32),
     ])
-    def test_the_narrow_depth_holds_the_state_count(self, n_states, dtype):
+    def test_the_narrow_depth_holds_the_state_count(self, monkeypatch, n_states, dtype):
         # a dtype holding only n_states - 1 would wrap depth + 1 to 0 at the
         # bottom state, which the harm reset then zeroes anyway, so no
         # estimate can show it; the update must not lean on that wraparound
-        assert simulate._Scratch(1, n_states).small_depth.dtype == dtype
+        allocated = record_allocations(monkeypatch)
+        tables = np.zeros(n_states)
+        simulate._share_returns(np.empty(1), range(1), 0, 0, 1, 0.9, tables, tables, tables)
+        assert [d for _, d in allocated if d.kind == "u"] == [np.dtype(dtype)]
 
     def test_when_the_discount_underflows(self, mdp, cpus):
         # gamma**k reaches the subnormals and then 0 well inside the horizon,
@@ -256,36 +280,51 @@ class TestBitIdentity:
 
 class TestFlatMemory:
     def test_scratch_never_exceeds_one_span(self, mdp, monkeypatch):
-        # each worker sizes its scratch for one span of eight batches, however
-        # many episodes it runs
-        sizes = []
-
-        class Recording(simulate._Scratch):
-            def __init__(self, size, n_states):
-                sizes.append(size)
-                super().__init__(size, n_states)
-
-        monkeypatch.setattr(simulate, "_Scratch", Recording)
+        # each share sizes its five buffers for one span of eight batches,
+        # however many episodes it runs; the only larger array is the returns
+        n = 40 * 8192 + 3
+        allocated = record_allocations(monkeypatch)
         pol = Policy.threshold(mdp.space, 0.45)
         for cpus in (1, 2):
             monkeypatch.setattr(simulate, "_available_cpus", lambda: cpus)
-            estimate_value(mdp, pol, n_episodes=40 * 8192 + 3, seed=2)
-        assert len(sizes) == 3
-        assert all(size <= 8 * 8192 for size in sizes)
+            estimate_value(mdp, pol, n_episodes=n, seed=2)
+        sizes = [size for size, _ in allocated]
+        assert len(sizes) == 2 + 5 * 3
+        assert sorted(sizes)[-2:] == [n, n]
+        assert all(size <= 8 * 8192 for size in sorted(sizes)[:-2])
 
     def test_each_share_of_a_default_run_on_two_cpus_is_one_pass(self, mdp, monkeypatch):
-        # 1e5 episodes are 13 batches, shared 6 and 7 between two workers
+        # 1e5 episodes are 13 batches, shared 6 and 7 between two workers; a
+        # share runs as one pass when every one of its streams is made before
+        # any of them draws
         monkeypatch.setattr(simulate, "_available_cpus", lambda: 2)
-        calls = []
-        real = simulate._batch_returns
+        shares = []
+        events = []
+        real_share, real_rng = simulate._share_returns, simulate._episode_rng
 
-        def counting(total, rngs, *args):
-            calls.append(len(rngs))
-            real(total, rngs, *args)
+        def recording_share(returns, batches, *args):
+            shares.append(batches)
+            real_share(returns, batches, *args)
 
-        monkeypatch.setattr(simulate, "_batch_returns", counting)
-        estimate_value(mdp, Policy.threshold(mdp.space, 0.45), n_episodes=100_000, seed=2)
-        assert sorted(calls) == [6, 7]
+        class RecordingRng:
+            def __init__(self, seed, stream):
+                self.batch = stream[0]
+                self.rng = real_rng(seed, stream)
+                events.append(("made", self.batch))
+
+            def random(self, out):
+                events.append(("drew", self.batch))
+                self.rng.random(out=out)
+
+        monkeypatch.setattr(simulate, "_share_returns", recording_share)
+        monkeypatch.setattr(simulate, "_episode_rng", RecordingRng)
+        pol = Policy.threshold(mdp.space, 0.45)
+        est = estimate_value(mdp, pol, n_episodes=100_000, seed=2)
+        assert sorted(len(share) for share in shares) == [6, 7]
+        for share in shares:
+            kinds = [kind for kind, batch in events if batch in share]
+            assert kinds.index("drew") == len(share) == kinds.count("made")
+        assert est == reference_estimate(mdp, pol, 100_000, est.horizon, seed=2)
 
 
 class TestTransitionLaw:
@@ -300,12 +339,10 @@ class TestTransitionLaw:
         harm, reward, move = simulate._step_tables(mdp, pol)
         n = 100_000
         total = np.empty(n)
-        scratch = simulate._Scratch(n, mdp.space.n_states)
         for start in range(mdp.space.n_states):
-            # one generator per 8192-episode slice, as estimate_value passes them
-            rngs = [simulate._episode_rng(41, (start, k)) for k in range(-(-n // 8192))]
-            simulate._batch_returns(
-                total, rngs, scratch, start, 2, mdp.gamma, harm, reward, move,
+            # all 13 batches as one share of two spans, on streams of their own
+            simulate._share_returns(
+                total, range(-(-n // 8192)), 41 + start, start, 2, mdp.gamma, harm, reward, move,
             )
             candidates = reward[start] + mdp.gamma * reward
             assert np.unique(candidates).size == candidates.size
@@ -321,24 +358,39 @@ class TestTransitionLaw:
 
 class TestWorkerFailures:
     @pytest.mark.parametrize("failing_thread", ["helper", "caller"])
-    def test_an_error_in_any_batch_reaches_the_caller(self, mdp, monkeypatch, failing_thread):
+    def test_an_error_in_any_share_reaches_the_caller(self, mdp, monkeypatch, failing_thread):
         # with two workers the shares are contiguous: the caller runs batch 0
         # and the helper runs batches 1 and 2 as one span
         monkeypatch.setattr(simulate, "_available_cpus", lambda: 2)
-        real = simulate._batch_returns
+        real = simulate._share_returns
 
-        def failing(total, *args):
+        def failing(returns, batches, *args):
             in_helper = threading.current_thread() is not threading.main_thread()
             if in_helper == (failing_thread == "helper"):
-                raise FloatingPointError(f"batch failed in the {failing_thread}")
-            real(total, *args)
+                raise FloatingPointError(f"share failed in the {failing_thread}")
+            real(returns, batches, *args)
 
-        monkeypatch.setattr(simulate, "_batch_returns", failing)
+        monkeypatch.setattr(simulate, "_share_returns", failing)
         before = threading.active_count()
         pol = Policy.threshold(mdp.space, 0.45)
         with pytest.raises(FloatingPointError, match=failing_thread):
             estimate_value(mdp, pol, n_episodes=3 * 8192, seed=1)
         assert threading.active_count() == before
+
+    def test_one_cpu_starts_no_thread(self, mdp, monkeypatch):
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: 1)
+        started = []
+        real = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            real(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        pol = Policy.threshold(mdp.space, 0.45)
+        est = estimate_value(mdp, pol, n_episodes=3 * 8192, seed=1)
+        assert started == []
+        assert est == reference_estimate(mdp, pol, 3 * 8192, est.horizon, seed=1)
 
 
 class TestEstimateValue:
@@ -446,3 +498,14 @@ class TestEstimateValue:
             estimate_value(mdp, pol, start_level=0.123)
         with pytest.raises(DomainError):
             estimate_value(mdp, pol, start_level=np.nan)
+        elsewhere = Policy.comply(StateSpace(np.linspace(0.2, 1.0, 11)))
+        with pytest.raises(FeasibilityError, match="different state spaces"):
+            estimate_value(mdp, elsewhere, n_episodes=100)
+
+    def test_refuses_an_effort_above_the_action_ceiling(self, mdp):
+        # the truncation bound assumes every cost is at most c(e_max): at
+        # effort 1.5 the tail cut off at 149 steps is 1.9e-6, above its
+        # 1e-6 target, while the bound would claim 9.1e-7
+        with pytest.raises(DomainError, match="action ceiling"):
+            estimate_value(mdp, Policy.threshold(mdp.space, 1.5), n_episodes=100)
+        estimate_value(mdp, Policy.threshold(mdp.space, 1.0 + 1e-13), n_episodes=100)
