@@ -11,7 +11,7 @@ import json
 import operator
 import sys
 
-from .errors import ConfigError
+from .errors import ConfigError, ConstructionError
 from .mdp import RegulationMdp, StateSpace, build_action_grid, build_state_space
 from .primitives import CostModel, DriftModel, HarmModel, WelfareModel
 from .thresholds import RampAuditFailure, StaticRegime, StepAuditFailure
@@ -148,19 +148,38 @@ def _validate(settings: dict) -> tuple[list, dict]:
         if lo in passed and hi in passed and not holds(passed[lo], passed[hi]):
             problems.append(f"{lo} ({passed[lo]!r}) {relation} {hi} ({passed[hi]!r})")
     # c(effort_max), its slope and c(effort_max) / (1 - gamma) bound the costs,
-    # slopes and values that solves and rollouts form; Python floats overflow
-    # to inf here without a warning
+    # slopes and values that solves and rollouts form (`CostModel.ceiling`)
+    limits = []  # c(effort_max) and c'(effort_max) of each cost pair that passed
     for a, b in (("cost_a", "cost_b"), ("cost_a2", "cost_b2")):
         keys = (a, b, "effort_max", "gamma")
         if all(key in passed for key in keys):
             qa, qb, top, gamma = (passed[key] for key in keys)
-            c_top = qa * top * top + qb * top
-            if not max(c_top, 2.0 * qa * top + qb, c_top / (1.0 - gamma)) <= sys.float_info.max:
+            cost = CostModel(qa, qb)
+            try:
+                limits.append((cost.ceiling(top, gamma), cost.derivative(top)))
+            except ConstructionError:
                 problems.append(
                     f"{a} ({qa!r}) and {b} ({qb!r}) must keep c(effort_max), c'(effort_max) "
                     f"and c(effort_max) / (1 - gamma) finite at effort_max ({top!r}) and "
                     f"gamma ({gamma!r})"
                 )
+    # with damage, |h'(0)| damage + c'(effort_max) bounds the welfare slope and
+    # (h(0) damage + c(effort_max)) / (1 - gamma) the discounted welfare loss;
+    # both grow with the cost, so the largest pair decides, and damage gets one message
+    # (an h_min at or above h_max is reported by its ordering)
+    keys = ("h_min", "h_max", "k", "damage")
+    if limits and all(key in passed for key in keys) and passed["h_min"] < passed["h_max"]:
+        h_min, h_max, k, damage = (passed[key] for key in keys)
+        harm = HarmModel(h_min, h_max, k)
+        c_top = max(c for c, _ in limits)
+        slope = -harm.derivative(0.0) * damage + max(d for _, d in limits)
+        loss = (harm.prob(0.0) * damage + c_top) * (1.0 / (1.0 - gamma))
+        if not max(slope, loss) <= sys.float_info.max:  # Python floats overflow silently
+            problems.append(
+                f"damage ({damage!r}) must keep |h'(0)| damage + c'(effort_max) and "
+                f"(h(0) damage + c(effort_max)) / (1 - gamma) finite for each cost pair at "
+                f"effort_max ({top!r}) and gamma ({gamma!r})"
+            )
     return problems, passed
 
 

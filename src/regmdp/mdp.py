@@ -7,7 +7,7 @@ choices on a fine grid that always contains every state level exactly, so
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,7 +101,6 @@ class ActionGrid:
     """Strictly increasing candidate efforts covering [0, e_max]."""
 
     efforts: np.ndarray
-    step: float
 
     def __post_init__(self):
         arr = np.array(self.efforts, dtype=float)
@@ -116,8 +115,6 @@ class ActionGrid:
             )
         if np.any(np.diff(arr) <= 0):
             raise ConstructionError("action efforts must be strictly increasing")
-        if not self.step > 0:
-            raise ConstructionError(f"step must be positive, got {self.step}")
         arr.setflags(write=False)
         object.__setattr__(self, "efforts", arr)
 
@@ -156,7 +153,7 @@ def build_action_grid(e_max: float, step: float, levels=()) -> ActionGrid:
         grid = np.sort(np.concatenate([base[_distance_to(np.sort(lv), base) > 1e-12], lv]))
     else:
         grid = base
-    return ActionGrid(grid, float(step))
+    return ActionGrid(grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,6 +201,12 @@ class RegulationMdp:
     the requirement to the backlash level; otherwise the requirement drifts
     one level down with the state's drift probability or stays put. The
     per-period reward is -cost(e); future periods are discounted by gamma.
+
+    cost_ceiling is c(e_max), the worst per-period cost, kept from
+    `CostModel.ceiling` at construction; that also refuses a cost whose
+    c(e_max), slope or value scale c(e_max) / (1 - gamma) is not finite.
+    The value floor, the residual bounds, the Monte Carlo horizon and its
+    truncation bound all read it.
     """
 
     space: StateSpace
@@ -212,6 +215,7 @@ class RegulationMdp:
     cost: CostModel
     drift: DriftModel
     gamma: float
+    cost_ceiling: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
@@ -222,17 +226,7 @@ class RegulationMdp:
             )
         if self.actions.e_max < self.space.backlash_level - 1e-12:
             raise ConstructionError("the action grid must reach the backlash level")
-        # c(e_max), its slope and c(e_max) / (1 - gamma) bound every cost,
-        # slope and value that solves and rollouts form
-        e_max = self.actions.e_max
-        with np.errstate(over="ignore", invalid="ignore"):
-            c_top = float(self.cost.value(e_max))
-            scales = (c_top, float(self.cost.derivative(e_max)), c_top / (1.0 - self.gamma))
-        if not all(map(math.isfinite, scales)):
-            raise ConstructionError(
-                f"the cost must keep c(e_max), c'(e_max) and c(e_max) / (1 - gamma) finite "
-                f"at e_max {e_max!r} and gamma {self.gamma!r}, got {scales}"
-            )
+        object.__setattr__(self, "cost_ceiling", self.cost.ceiling(self.actions.e_max, self.gamma))
         off = _distance_to(self.actions.efforts, self.space.levels) > _LEVEL_ATOL
         if off.any():  # each level must sit on the grid; name the first that does not
             raise DomainError(

@@ -82,7 +82,7 @@ def _value_limits(mdp: RegulationMdp):
     relative 1e-8; the residual bound is (3n + 4) ulps of that value scale.
     Values must also stay at or below 0, give or take 1e-10.
     """
-    floor = -float(mdp.cost.value(mdp.actions.e_max)) / (1.0 - mdp.gamma)
+    floor = -mdp.cost_ceiling / (1.0 - mdp.gamma)
     return floor - 1e-8 * (1.0 + abs(floor)), _residual_bound(mdp, abs(floor))
 
 

@@ -95,6 +95,23 @@ class CostModel:
         e = _effort_array(e)
         return _match_input(2.0 * self.a * e + self.b)
 
+    def ceiling(self, e_max, gamma: float) -> float:
+        """c(e_max), the worst per-period cost on the action grid [0, e_max].
+
+        c(e_max), its slope and the value scale c(e_max) / (1 - gamma) bound
+        every cost, slope and value that solves and rollouts form, so all
+        three must be finite; otherwise ConstructionError.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            c_top = float(self.value(e_max))
+            scales = (c_top, float(self.derivative(e_max)), c_top / (1.0 - gamma))
+        if not all(map(math.isfinite, scales)):
+            raise ConstructionError(
+                f"the cost must keep c(e_max), c'(e_max) and c(e_max) / (1 - gamma) finite "
+                f"at e_max {e_max!r} and gamma {gamma!r}, got {scales}"
+            )
+        return c_top
+
 
 @dataclass(frozen=True, eq=False)
 class DriftModel:

@@ -26,6 +26,7 @@ refused before it starts when n_episodes * horizon exceeds 1e11
 episode-steps.
 """
 
+import math
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -125,8 +126,7 @@ class ValueEstimate(NamedTuple):
 
 def truncation_bound(mdp: RegulationMdp, horizon: int) -> float:
     """Bound gamma**horizon * cost(e_max) / (1 - gamma) on the return cut off at `horizon`."""
-    c_max = float(mdp.cost.value(mdp.actions.e_max))
-    return mdp.gamma**horizon * c_max / (1.0 - mdp.gamma)
+    return mdp.gamma**horizon * mdp.cost_ceiling / (1.0 - mdp.gamma)
 
 
 def _check_bias_target(name: str, value: float) -> None:
@@ -137,19 +137,24 @@ def _check_bias_target(name: str, value: float) -> None:
 
 
 def minimal_horizon(mdp: RegulationMdp, max_bias: float) -> int:
-    """Shortest horizon whose truncation bound meets max_bias, which must be positive."""
+    """Shortest horizon whose truncation bound meets max_bias, which must be positive.
+
+    That is ceil((log max_bias + log(1 - gamma) - log c(e_max)) / log gamma),
+    at least 1, with the logs added rather than taken of the product, which
+    can underflow. The logs round, so on a discount at the edge between two
+    horizons the quotient can land one step short; one more step is then
+    added, so that for a normal max_bias (at or above the smallest normal
+    float, about 2.2e-308) `truncation_bound` at the horizon returned meets
+    it. A subnormal max_bias can still be missed there, since the bound
+    itself is then rounded to a few bits. The same formula gives 1 at gamma = 0, where log gamma = -inf,
+    and at c(e_max) = 0, where log c(e_max) = -inf and no return is cut off.
+    """
     _check_bias_target("max_bias", max_bias)
-    if mdp.gamma == 0.0:
-        return 1
-    c_max = float(mdp.cost.value(mdp.actions.e_max))
-    ratio = max_bias * (1.0 - mdp.gamma) / c_max
-    if ratio >= 1.0:
-        return 1
-    if ratio < np.finfo(float).tiny:  # the product underflows; add its factors' logs
-        log_ratio = np.log(max_bias) + np.log(1.0 - mdp.gamma) - np.log(c_max)
-    else:
-        log_ratio = np.log(ratio)
-    return max(1, int(np.ceil(log_ratio / np.log(mdp.gamma))))
+    # log 0 = -inf at gamma = 0 or c(e_max) = 0; fmax takes 1 over a -inf or NaN quotient
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.log(max_bias) + np.log(1.0 - mdp.gamma) - np.log(mdp.cost_ceiling)
+        horizon = int(np.fmax(1.0, np.ceil(log_ratio / np.log(mdp.gamma))))
+    return horizon + (truncation_bound(mdp, horizon) > max_bias)
 
 
 def _available_cpus() -> int:
@@ -270,7 +275,11 @@ def estimate_value(
     batches (`_share_returns`), so at 1e5 episodes on two CPUs each share is
     one span, and the estimate is bit-identical whatever the thread count.
     A failing share does not stop the others; its error is raised here once
-    every share has ended, the caller's own first.
+    every share has ended, the caller's own first. The mean and standard
+    deviation are taken of the returns scaled by 2**-e, with 2**e the power of
+    two at or above the value scale c(e_max) / (1 - gamma) (e = 0 when the
+    scale is below 1), and scaled back: that is exact, and the sum and the
+    squares cannot overflow.
 
     The policy must live on the MDP's state space, and no effort may exceed
     the action ceiling e_max, since the truncation bound assumes costs of at
@@ -322,8 +331,12 @@ def estimate_value(
         _share_returns(returns, shares[0], *args)
         for helper in helpers:
             helper.result()
-    mean = float(returns.mean())
-    sd = float(returns.std(ddof=1))
+    # every return lies in [-2**exponent, 0]; a scale below 1 cannot overflow
+    # and is left as it is, since 2**-exponent would not be a float
+    exponent = max(0, math.frexp(mdp.cost_ceiling / (1.0 - mdp.gamma))[1])
+    returns *= math.ldexp(1.0, -exponent)
+    mean = math.ldexp(float(returns.mean()), exponent)
+    sd = math.ldexp(float(returns.std(ddof=1)), exponent)
     half_width = _Z_95 * sd / np.sqrt(n_episodes)
     return ValueEstimate(mean, float(half_width), float(bound), horizon)
 

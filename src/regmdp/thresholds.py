@@ -185,11 +185,18 @@ class BacklashDesign:
 
 
 def _design_constant(welfare: WelfareModel, gamma: float, e_star: float) -> float:
-    """Lifetime cost K that the backlash state must impose to make e_star stable."""
+    """Lifetime cost K that the backlash state must impose to make e_star stable.
+
+    K is +inf once gamma * h'(e_star) underflows to 0: the platform weighs
+    the backlash too little for any finite cost to hold e_star.
+    """
     harm, cost = welfare.harm, welfare.cost
+    slope = gamma * harm.derivative(e_star)
+    if slope == 0.0:
+        return math.inf
     hold = cost.value(e_star) - cost.derivative(e_star) * (
         1.0 - gamma * (1.0 - harm.prob(e_star))
-    ) / (gamma * harm.derivative(e_star))
+    ) / slope
     return hold / (1.0 - gamma)
 
 

@@ -107,6 +107,14 @@ class TestLoadConfig:
         ({"cost_a2": 1e308, "gamma": 0}, "cost_a2 (1e+308) and cost_b2 (0.05) must keep "
          "c(effort_max), c'(effort_max) and c(effort_max) / (1 - gamma) finite at effort_max "
          "(1.0) and gamma (0)"),
+        # only the first pair's discounted welfare loss overflows
+        ({"damage": 1.99e307, "cost_a": 1e306}, "damage (1.99e+307) must keep |h'(0)| damage + "
+         "c'(effort_max) and (h(0) damage + c(effort_max)) / (1 - gamma) finite for each cost "
+         "pair at effort_max (1.0) and gamma (0.9)"),
+        # the welfare slope overflows with both cost pairs: still one message
+        ({"damage": 1e308}, "damage (1e+308) must keep |h'(0)| damage + c'(effort_max) and "
+         "(h(0) damage + c(effort_max)) / (1 - gamma) finite for each cost pair at effort_max "
+         "(1.0) and gamma (0.9)"),
     ])
     def test_one_mistake_gives_one_message(self, settings, message):
         with pytest.raises(ConfigError) as exc:
@@ -448,6 +456,17 @@ class TestExitCodeSweep:
         code = run([command, "--config", str(path), "--episodes", "2000"])
         return code, capsys.readouterr().err
 
+    @staticmethod
+    def run_warning_free(tmp_path, capsys, command, text):
+        """Exit code, CSV cells from stdout and stderr, with any warning an error."""
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([command, "--config", str(path), "--episodes", "2000"])
+        out, err = capsys.readouterr()
+        return code, [cell for row in csv.reader(io.StringIO(out)) for cell in row], err
+
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     @pytest.mark.parametrize("text, key", [
         ('{"seed": Infinity}', "seed"),
@@ -511,6 +530,41 @@ class TestExitCodeSweep:
         assert code == expected, err
         if expected == 2:
             assert err == "input error: levels must be strictly increasing\n"
+
+    @pytest.mark.parametrize("command, text, expected", [
+        # c(e_max) rounds to 0: the minimal horizon divided by it
+        ("simulate", '{"cost_a": 5e-324, "cost_b": 5e-324, "effort_max": 0.4, '
+                     '"backlash_effort": 0.4}', 0),
+        # returns near -1e301 and -1e307: their squares, then their sum, overflowed
+        ("simulate", '{"cost_a": 1e-300, "cost_b": 1e300}', 0),
+        ("simulate", '{"cost_a": 1e-300, "cost_b": 1e306}', 0),
+        # a value scale of 2e-309, below 2**-1024, must not be scaled up
+        ("simulate", '{"cost_a": 1e-310, "cost_b": 1e-310}', 0),
+        # a discount on the edge between horizons 3 and 4: the minimal horizon
+        # was 3, and estimate_value refused it as too short
+        ("simulate", '{"gamma": 0.011809453889593476}', 0),
+        # gamma * h'(e*) underflows to 0 in the lifetime cost K, which is +inf
+        ("design-backlash", '{"gamma": 5e-324}', 1),
+        # |h'(0)| * damage overflows, and so would welfare's marginal column
+        *((command, '{"damage": 1e308}', 2) for command in SUBCOMMANDS),
+    ])
+    def test_a_config_at_the_cost_ceiling_writes_only_finite_cells(self, tmp_path, capsys,
+                                                                   command, text, expected):
+        code, cells, err = self.run_warning_free(tmp_path, capsys, command, text)
+        assert code == expected, err
+        assert not {cell.lstrip("+-").lower() for cell in cells} & {"inf", "nan"}, cells
+        if expected == 2:
+            assert err.startswith("config error: damage (1e+308) must keep ")
+        elif expected == 1:
+            assert "K=inf" in err
+
+    @pytest.mark.parametrize("command", ["welfare", "impossibility"])
+    def test_a_damage_just_inside_the_rule_writes_only_finite_cells(self, tmp_path, capsys,
+                                                                  command):
+        # (0.9 * 1.99e307 + 0.6) / 0.1 = 1.79e308: the discounted loss column still fits
+        code, cells, err = self.run_warning_free(tmp_path, capsys, command, '{"damage": 1.99e307}')
+        assert code == 0, err
+        assert not {cell.lstrip("+-").lower() for cell in cells} & {"inf", "nan"}, cells
 
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     @pytest.mark.parametrize("text", [

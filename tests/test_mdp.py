@@ -1,5 +1,6 @@
 """State space, action grid, policies, and transition structure."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -91,15 +92,17 @@ class TestActionGrid:
 
     def test_rejects_malformed_grids(self):
         with pytest.raises(ConstructionError):
-            ActionGrid(np.array([0.1, 0.5]), 0.4)  # must start at zero
+            ActionGrid(np.array([0.1, 0.5]))  # must start at zero
         with pytest.raises(ConstructionError):
-            ActionGrid(np.array([0.0, 0.5]), 0.0)
-        with pytest.raises(ConstructionError):
-            ActionGrid(np.array([0.0]), 1.0)
+            ActionGrid(np.array([0.0]))
         # each passes the strict-increase check, and [0, 0.5, nan] would give e_max nan
         for bad in ([0.0, 0.5, np.nan], [0.0, np.nan, 1.0], [0.0, 0.5, np.inf]):
             with pytest.raises(ConstructionError, match="finite"):
-                ActionGrid(np.array(bad), 0.5)
+                ActionGrid(np.array(bad))
+
+    def test_rejects_a_non_positive_step(self):
+        with pytest.raises(ConstructionError, match="step must be positive"):
+            build_action_grid(0.5, 0.0)
 
     def test_require_member_rejects_offgrid(self):
         grid = build_action_grid(1.0, 1e-3)
@@ -198,7 +201,7 @@ class TestRegulationMdp:
             RegulationMdp(space, actions, harm, cost, DriftModel.constant(0.3, 7), 0.9)
 
     def test_rejects_grid_missing_a_level(self, space, harm, cost, drift):
-        grid = ActionGrid(np.array([0.0, 1.0]), 1.0)  # reaches the top but skips levels
+        grid = ActionGrid(np.array([0.0, 1.0]))  # reaches the top but skips levels
         with pytest.raises(DomainError):
             RegulationMdp(space, grid, harm, cost, drift, 0.9)
 
@@ -219,6 +222,13 @@ class TestRegulationMdp:
             warnings.simplefilter("error")
             with pytest.raises(ConstructionError, match=r"c\(e_max\) / \(1 - gamma\) finite"):
                 RegulationMdp(space, actions, harm, CostModel(a, b), drift, gamma)
+
+    def test_keeps_the_cost_ceiling_through_replace(self, mdp, cost):
+        assert mdp.cost_ceiling == cost.value(1.0)
+        steep = dataclasses.replace(mdp, cost=CostModel(2.0, 0.5))
+        assert steep.cost_ceiling == 2.5
+        with pytest.raises(ConstructionError, match=r"c\(e_max\) / \(1 - gamma\) finite"):
+            dataclasses.replace(mdp, cost=CostModel(1e307, 0.1), gamma=0.9999)
 
     def test_rejects_grid_below_backlash(self, space, harm, cost, drift):
         grid = build_action_grid(0.5, 1e-3)

@@ -9,6 +9,7 @@ import pytest
 
 import regmdp.policy as policy_module
 from regmdp import (
+    CostModel,
     DomainError,
     Policy,
     RegulationMdp,
@@ -219,6 +220,8 @@ class _Payout:
     def derivative(self, e):
         return -self.cost.derivative(e)
 
+    ceiling = CostModel.ceiling  # the model's own finiteness check, on the negated curve
+
 
 # configs at the edges of what load_config accepts
 EDGES = {
@@ -404,15 +407,17 @@ class TestValueIteration:
         policy, _ = value_iteration(mdp)
         stable = optimal_threshold(mdp)
         expected = np.maximum(stable, mdp.space.levels)
-        assert np.max(np.abs(policy.efforts - expected)) <= mdp.actions.step + 1e-9
+        # 1e-3 is the step of the fixture's action grid
+        assert np.max(np.abs(policy.efforts - expected)) <= 1e-3 + 1e-9
 
     def test_matches_the_threshold_solver_at_201_states_and_gamma_0999(self):
         # the edge of the validated space that a 1/(1 - gamma)-sweep oracle
         # could not reach: one action step of agreement in every state
-        mdp = load_config(None, {"state_count": 201, "gamma": 0.999}).mdp()
+        config = load_config(None, {"state_count": 201, "gamma": 0.999})
+        mdp = config.mdp()
         policy, _ = value_iteration(mdp)
         expected = np.maximum(optimal_threshold(mdp), mdp.space.levels)
-        assert np.max(np.abs(policy.efforts - expected)) <= mdp.actions.step + 1e-9
+        assert np.max(np.abs(policy.efforts - expected)) <= config["action_step"] + 1e-9
 
     def test_guard_names_the_stage(self, mdp, monkeypatch):
         monkeypatch.setattr(policy_module, "_IMPROVEMENT_STEPS", 1)

@@ -1,7 +1,10 @@
 """Seeded rollouts and Monte Carlo value estimation."""
 
+import dataclasses
+import itertools
 import sys
 import threading
+import types
 import warnings
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 
 from regmdp import simulate
 from regmdp import (
+    CostModel,
     DomainError,
     DriftModel,
     FeasibilityError,
@@ -109,6 +113,57 @@ class TestHorizons:
             h = minimal_horizon(mdp, target)
             assert truncation_bound(mdp, h) <= target
 
+    def test_one_log_formula_gives_the_two_branch_horizon(self):
+        # minimal_horizon reads only gamma and cost_ceiling. Seeded draws of
+        # gamma up to 1 - 1e-9, c(e_max) in [1e-100, 1e100] and targets in
+        # [1e-100, 1e6] reach both of the old formula's first two branches
+        # (ratio >= 1, and log of the ratio); the grid reaches its third, the
+        # underflowing ratio. Beyond gamma 1 - 1e-9 the horizons pass 1e9
+        # steps and the two log formulas part by a step now and then.
+        rng = np.random.default_rng(2024)
+        draws = [(float(1.0 - 10 ** rng.uniform(-9, -0.001)), float(10 ** rng.uniform(-100, 100)),
+                  float(10 ** rng.uniform(-100, 6))) for _ in range(20_000)]
+        grid = list(itertools.product((0.5, 0.9, 0.999), (0.6, 1e10, 1e300),
+                                      (1e-300, 1e-310, 5e-324)))
+        ratios = [target * (1.0 - gamma) / c_max for gamma, c_max, target in draws + grid]
+        assert min(ratios) < np.finfo(float).tiny < 1.0 < max(ratios)
+        for gamma, c_max, target in draws + grid:
+            mdp = types.SimpleNamespace(gamma=gamma, cost_ceiling=c_max)
+            assert minimal_horizon(mdp, target) == two_branch_horizon(gamma, c_max, target)
+
+    def test_the_horizon_meets_its_own_bound_on_every_edge(self, space, actions, harm, drift):
+        # discounts at the edge between two horizons, where the logs' rounding
+        # decides the ceiling: estimate_value must accept its own horizon,
+        # which is at most one step longer than the shortest that meets the
+        # bound. The two-branch formula fell one step short on some of these.
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            c_max, target = float(10 ** rng.uniform(-3, 3)), float(10 ** rng.uniform(-9, -3))
+            steps = int(rng.integers(2, 2000))
+            lo, hi = 1e-6, 1.0 - 1e-12  # bisect for the smallest gamma needing `steps` steps
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                enough = mid ** (steps - 1) * c_max / (1.0 - mid) <= target
+                lo, hi = (mid, hi) if enough else (lo, mid)
+            cost = CostModel(0.5 * c_max, 0.5 * c_max)  # c(1) = c_max
+            for gamma in (np.nextafter(lo, 0.0), lo, hi, np.nextafter(hi, 1.0)):
+                mdp = RegulationMdp(space, actions, harm, cost, drift, float(gamma))
+                h = minimal_horizon(mdp, target)
+                assert truncation_bound(mdp, h) <= target
+                assert h <= 2 or truncation_bound(mdp, h - 2) > target
+
+    def test_a_zero_cost_ceiling_gets_horizon_one(self, harm):
+        # 5e-324 * e**2 + 5e-324 * e rounds to 0 at e_max 0.4: nothing is cut off
+        space = build_state_space(0.0, 0.4, 11, 0.4)
+        free = RegulationMdp(space, build_action_grid(0.4, 1e-3, space.levels), harm,
+                             CostModel(5e-324, 5e-324), DriftModel.constant(0.3, 11), 0.9)
+        assert free.cost_ceiling == 0.0
+        myopic = dataclasses.replace(free, gamma=0.0)  # log gamma = -inf too: a NaN quotient
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert minimal_horizon(free, 1e-6) == minimal_horizon(myopic, 1e-6) == 1
+        assert truncation_bound(free, 1) == 0.0
+
     def test_myopic_horizon_is_one(self, mdp):
         m0 = RegulationMdp(mdp.space, mdp.actions, mdp.harm, mdp.cost, mdp.drift, 0.0)
         assert minimal_horizon(m0, 1e-6) == 1
@@ -147,6 +202,20 @@ class TestHorizons:
             estimate_value(mdp, pol, n_episodes=100, horizon=5)
         assert exc.value.minimal_horizon == 149
         assert "149" in str(exc.value)
+
+
+def two_branch_horizon(gamma, c_max, max_bias):
+    """minimal_horizon as it was before the one log formula: the reference."""
+    if gamma == 0.0:
+        return 1
+    ratio = max_bias * (1.0 - gamma) / c_max
+    if ratio >= 1.0:
+        return 1
+    if ratio < np.finfo(float).tiny:  # the product underflows; add its factors' logs
+        log_ratio = np.log(max_bias) + np.log(1.0 - gamma) - np.log(c_max)
+    else:
+        log_ratio = np.log(ratio)
+    return max(1, int(np.ceil(log_ratio / np.log(gamma))))
 
 
 def reference_estimate(mdp, policy, n_episodes, horizon, seed, start_index=None):
@@ -501,6 +570,34 @@ class TestEstimateValue:
         elsewhere = Policy.comply(StateSpace(np.linspace(0.2, 1.0, 11)))
         with pytest.raises(FeasibilityError, match="different state spaces"):
             estimate_value(mdp, elsewhere, n_episodes=100)
+
+    @pytest.mark.parametrize("a, b", [
+        # returns near -1e151 are scaled by 2**-502 before the mean and the
+        # standard deviation, and back after
+        (1e-300, 1e150),
+        # a value scale of 2e-309 has a frexp exponent below -1024; 2**1024
+        # is no float, and a scale below 1 is left as it is
+        (1e-310, 1e-310),
+    ])
+    def test_scaled_moments_are_the_plain_ones(self, space, actions, harm, drift, a, b):
+        m = RegulationMdp(space, actions, harm, CostModel(a, b), drift, 0.9)
+        pol = Policy.threshold(m.space, 0.45)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_value(m, pol, n_episodes=2000, seed=5)
+        assert est == reference_estimate(m, pol, 2000, est.horizon, seed=5)
+
+    def test_returns_near_the_float_ceiling_keep_finite_moments(self, space, actions, harm,
+                                                                drift):
+        # returns near -9e306: their sum and their squares overflow unscaled
+        m = RegulationMdp(space, actions, harm, CostModel(1e-300, 1e306), drift, 0.9)
+        pol = Policy.threshold(m.space, 0.45)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_value(m, pol, n_episodes=2000, seed=5)
+            z = agreement_z(est, evaluate_policy(m, pol).at_backlash)
+        assert np.isfinite(est.mean) and 0.0 < est.half_width_95 < np.inf
+        assert abs(z) <= 4.0
 
     def test_refuses_an_effort_above_the_action_ceiling(self, mdp):
         # the truncation bound assumes every cost is at most c(e_max): at
