@@ -185,8 +185,7 @@ def _validate(settings: dict) -> tuple[list, dict]:
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> Config:
     """Merge defaults, an optional JSON file, and explicit overrides."""
-    settings = dict(DEFAULTS)
-    problems = []
+    loaded = {}
     if path is not None:
         try:
             with open(path) as fh:
@@ -197,13 +196,11 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Confi
             raise ConfigError([f"config file is not valid JSON: {err}"])
         if not isinstance(loaded, dict):
             raise ConfigError(["config file must hold a single JSON object"])
-        unknown = sorted(set(loaded) - set(DEFAULTS))
-        problems += [f"unknown key: {key}" for key in unknown]
-        settings.update({k: v for k, v in loaded.items() if k in DEFAULTS})
-    if overrides:
-        unknown = sorted(set(overrides) - set(DEFAULTS))
-        problems += [f"unknown key: {key}" for key in unknown]
-        settings.update({k: v for k, v in overrides.items() if k in DEFAULTS})
+    settings = dict(DEFAULTS)
+    problems = []
+    for source in (loaded, overrides or {}):
+        problems += [f"unknown key: {key}" for key in sorted(set(source) - set(DEFAULTS))]
+        settings.update({k: v for k, v in source.items() if k in DEFAULTS})
 
     invalid, checked = _validate(settings)
     if problems + invalid:

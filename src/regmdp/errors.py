@@ -19,8 +19,8 @@ class HorizonTooShortError(ValueError):
     def __init__(self, horizon: int, minimal_horizon: int, bound: float, target: float):
         self.minimal_horizon = minimal_horizon
         super().__init__(
-            f"horizon {horizon} leaves a truncation bias bound of {bound:.3g}, "
-            f"above the target {target:.3g}; use horizon >= {minimal_horizon}"
+            f"horizon {horizon} leaves a truncation bias bound of {float(bound)!r}, "
+            f"above the target {float(target)!r}; use horizon >= {minimal_horizon}"
         )
 
 

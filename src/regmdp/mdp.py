@@ -17,27 +17,21 @@ from .primitives import CostModel, DriftModel, HarmModel
 _LEVEL_ATOL = 1e-9
 
 
-def _nearest(values: np.ndarray, x: float, message: str) -> int:
-    """Index of the entry within 1e-9 of x; otherwise DomainError(message.format(x)).
-
-    A NaN x fails the comparison, so it matches no entry.
-    """
-    i = int(np.argmin(np.abs(values - x)))
-    if not abs(values[i] - x) <= _LEVEL_ATOL:
-        raise DomainError(message.format(x))
-    return i
-
-
-def _distance_to(values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Distance from each entry of x to the nearest of the sorted values.
+def _nearest(values: np.ndarray, x):
+    """Index of the sorted value nearest to x, and the distance to it, for each x.
 
     The nearest value sits on one side of x's insertion point, and |v - x|
-    rounds monotonically in v, so this is the minimum over all values.
+    rounds monotonically in v, so no other value is nearer; of two equally
+    near neighbours the lower wins, as argmin's first minimum does. Rounding
+    can also tie values that are not neighbours, of which argmin took the
+    lowest (at x = inf, say); within the 1e-9 tolerance the callers apply,
+    that takes two values below 2e-9 less than 2.1e-25 apart. A NaN x is NaN
+    away from every value, so no tolerance accepts it.
     """
-    j = np.searchsorted(values, x)
-    below = np.abs(values[np.maximum(j - 1, 0)] - x)
-    above = np.abs(values[np.minimum(j, values.size - 1)] - x)
-    return np.minimum(below, above)
+    j = values.searchsorted(x)
+    lo = j - (j > 0)
+    i = lo + (abs(values[j - (j == values.size)] - x) < abs(values[lo] - x))
+    return i, abs(values[i] - x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +65,10 @@ class StateSpace:
 
     def index_of(self, level: float) -> int:
         """Index of the state matching `level` (within 1e-9)."""
-        return _nearest(self.levels, level, "{!r} is not a state level")
+        i, distance = _nearest(self.levels, level)
+        if not distance <= _LEVEL_ATOL:
+            raise DomainError(f"{level!r} is not a state level")
+        return int(i)
 
 
 def build_state_space(
@@ -124,7 +121,9 @@ class ActionGrid:
 
     def require_member(self, e: float) -> float:
         """Return the grid effort matching e (within 1e-9) or raise."""
-        i = _nearest(self.efforts, e, "effort {!r} is not on the action grid")
+        i, distance = _nearest(self.efforts, e)
+        if not distance <= _LEVEL_ATOL:
+            raise DomainError(f"effort {e!r} is not on the action grid")
         return float(self.efforts[i])
 
 
@@ -150,7 +149,7 @@ def build_action_grid(e_max: float, step: float, levels=()) -> ActionGrid:
             raise ConstructionError(
                 f"state level {lv.max()} exceeds the action ceiling {e_max}"
             )
-        grid = np.sort(np.concatenate([base[_distance_to(np.sort(lv), base) > 1e-12], lv]))
+        grid = np.sort(np.concatenate([base[_nearest(np.sort(lv), base)[1] > 1e-12], lv]))
     else:
         grid = base
     return ActionGrid(grid)
@@ -227,7 +226,7 @@ class RegulationMdp:
         if self.actions.e_max < self.space.backlash_level - 1e-12:
             raise ConstructionError("the action grid must reach the backlash level")
         object.__setattr__(self, "cost_ceiling", self.cost.ceiling(self.actions.e_max, self.gamma))
-        off = _distance_to(self.actions.efforts, self.space.levels) > _LEVEL_ATOL
+        off = _nearest(self.actions.efforts, self.space.levels)[1] > _LEVEL_ATOL
         if off.any():  # each level must sit on the grid; name the first that does not
             raise DomainError(
                 f"effort {float(self.space.levels[off.argmax()])!r} is not on the action grid"

@@ -139,22 +139,36 @@ def _check_bias_target(name: str, value: float) -> None:
 def minimal_horizon(mdp: RegulationMdp, max_bias: float) -> int:
     """Shortest horizon whose truncation bound meets max_bias, which must be positive.
 
-    That is ceil((log max_bias + log(1 - gamma) - log c(e_max)) / log gamma),
-    at least 1, with the logs added rather than taken of the product, which
-    can underflow. The logs round, so on a discount at the edge between two
-    horizons the quotient can land one step short; one more step is then
-    added, so that for a normal max_bias (at or above the smallest normal
-    float, about 2.2e-308) `truncation_bound` at the horizon returned meets
-    it. A subnormal max_bias can still be missed there, since the bound
-    itself is then rounded to a few bits. The same formula gives 1 at gamma = 0, where log gamma = -inf,
-    and at c(e_max) = 0, where log c(e_max) = -inf and no return is cut off.
+    The search starts from ceil((log max_bias + log(1 - gamma) - log
+    c(e_max)) / log gamma), at least 1, with the logs added rather than taken
+    of the product, which can underflow. That formula gives 1 at gamma = 0,
+    where log gamma = -inf, and at c(e_max) = 0, where log c(e_max) = -inf and
+    no return is cut off. It can land short: the logs round, and dividing by
+    log gamma magnifies that to hundreds of steps at gamma 1 - 2e-13; and
+    where gamma**horizon is subnormal, `truncation_bound` keeps only a few
+    bits, so one more step may not lower it. Where the formula's horizon
+    misses max_bias, the search doubles its step until `truncation_bound`
+    meets max_bias, then bisects back to the first horizon that does. The
+    bound is 0 once gamma**horizon underflows, so every positive max_bias is
+    met, and `estimate_value` accepts the horizon returned. A formula
+    horizon that meets max_bias is kept even where a shorter one would too;
+    seeded draws find that only at 1 - gamma below 1e-12, where the horizon
+    is past 1e12 steps and the episode-step cap refuses any run.
     """
     _check_bias_target("max_bias", max_bias)
     # log 0 = -inf at gamma = 0 or c(e_max) = 0; fmax takes 1 over a -inf or NaN quotient
     with np.errstate(divide="ignore", invalid="ignore"):
         log_ratio = np.log(max_bias) + np.log(1.0 - mdp.gamma) - np.log(mdp.cost_ceiling)
         horizon = int(np.fmax(1.0, np.ceil(log_ratio / np.log(mdp.gamma))))
-    return horizon + (truncation_bound(mdp, horizon) > max_bias)
+    # `short` misses max_bias (taken so for the formula's horizon - 1), and the
+    # gap to `long` doubles until `long` meets it
+    short, long = horizon - 1, horizon
+    while truncation_bound(mdp, long) > max_bias:
+        short, long = long, 3 * long - 2 * short  # long + twice the gap
+    while long - short > 1:
+        mid = (short + long) // 2
+        short, long = (mid, long) if truncation_bound(mdp, mid) > max_bias else (short, mid)
+    return long
 
 
 def _available_cpus() -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientMaxEffortError
+from .errors import DomainError, InsufficientMaxEffortError
 from .mdp import Policy, RegulationMdp, StateSpace, build_action_grid
 from .policy import (
     _residual_bound,
@@ -53,6 +53,8 @@ _MARGIN_TOL = 1e-9  # preference margin too small for its sign to be checked
 _MAX_FINE = 1e9  # largest fine the static sweep draws
 _MAX_ATTEMPTS = 300  # scenario draws the design round trip may spend
 _REL_TOL = 1e-6  # relative error allowed between a derivative and its central difference
+_LEVEL_GAP = 1e-3  # smallest gap between two levels of a random grid
+_LEVEL_DRAWS = 10_000  # random grids random_levels draws before it gives up
 
 
 @dataclass
@@ -110,14 +112,23 @@ def random_welfare(rng: np.random.Generator) -> WelfareModel:
 
 
 def random_levels(rng: np.random.Generator, n: int, top: float) -> np.ndarray:
-    """Either a uniform grid or a random one, always from 0 up to `top`."""
+    """Either a uniform grid or a random one, always from 0 up to `top`.
+
+    A random grid redraws until every gap exceeds _LEVEL_GAP. The share of
+    draws that pass falls fast with n (a third at 31 states, 1% at 61, none
+    seen in 20,000 at 101), so after _LEVEL_DRAWS draws it raises DomainError.
+    """
     if rng.random() < 0.5:
         return np.linspace(0.0, top, n)
-    while True:
+    for _ in range(_LEVEL_DRAWS):
         interior = np.sort(rng.uniform(0.0, top, size=n - 2))
         levels = np.concatenate([[0.0], interior, [top]])
-        if np.min(np.diff(levels)) > 1e-3:
+        if np.min(np.diff(levels)) > _LEVEL_GAP:
             return levels
+    raise DomainError(
+        f"no random grid of {n} levels from 0 to {float(top)!r} with every gap above {_LEVEL_GAP} "
+        f"in {_LEVEL_DRAWS:,} draws"
+    )
 
 
 def random_mdp(

@@ -56,6 +56,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="unknown key: nope"):
             load_config(None, {"nope": 3})
 
+    def test_unknown_keys_are_named_file_first_then_overrides(self, tmp_path):
+        path = write_json(tmp_path / "c.json", {"zeta": 1, "alpha": 2, "gamma": 2.0})
+        with pytest.raises(ConfigError) as exc:
+            load_config(path, {"nope": 3, "beta": 4})
+        assert exc.value.violations == [
+            "unknown key: alpha", "unknown key: zeta", "unknown key: beta", "unknown key: nope",
+            "gamma must lie in [0, 1), got 2.0",
+        ]
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config("/does/not/exist.json")
@@ -361,6 +370,25 @@ class TestCliCommands:
         cfg = write_json(tmp_path / "c.json", {"horizon": 5, "episodes": 100})
         assert run(["simulate", "--config", cfg]) == 2
         assert "horizon" in capsys.readouterr().err
+        # a bound one rounding above the target prints all its digits, not 1e-06
+        cfg = write_json(tmp_path / "c.json", {"gamma": 0.011809453889593476, "horizon": 3})
+        assert run(["simulate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "input error: horizon 3 leaves a truncation bias bound of 1.0000000000000006e-06, "
+            "above the target 1e-06; use horizon >= 4\n"
+        )
+
+    def test_simulate_is_not_told_to_use_the_horizon_it_ran(self, tmp_path, capsys):
+        # the formula's horizon here missed the bound, and the message asked
+        # for that same horizon; the searched one meets it, and the
+        # episode-step cap refuses the run
+        cfg = write_json(tmp_path / "c.json", {"cost_a": 6.78226840593168e294,
+                                               "cost_b": 6.78226840593168e294,
+                                               "gamma": 0.9999999999997865})
+        assert run(["simulate", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(
+            "input error: n_episodes (100000) * horizon (3384412475222684) at gamma "
+        )
 
     def test_simulate_refuses_a_single_episode_by_its_key(self, capsys):
         # a confidence width needs two episodes; the config names the key

@@ -19,6 +19,7 @@ from regmdp import (
     build_action_grid,
     build_state_space,
 )
+from regmdp.mdp import _nearest
 from regmdp.verification import random_levels
 
 
@@ -160,6 +161,83 @@ class TestOnePassConstruction:
             assert str(raised.value) == str(err)
         else:
             RegulationMdp(StateSpace(levels), actions, harm, cost, drift, 0.9)
+
+
+def argmin_lookup(values, x):
+    """The O(n) lookup the sorted search replaced: argmin's first minimum of |v - x|."""
+    i = int(np.argmin(np.abs(values - x)))
+    return i, abs(values[i] - x)
+
+
+class TestNearest:
+    """`_nearest` against argmin over the 10**6-step action grid."""
+
+    @pytest.fixture(scope="class")
+    def fine(self):
+        return build_action_grid(1.0, 1e-6).efforts
+
+    @pytest.fixture(scope="class")
+    def probes(self, fine):
+        rng = np.random.default_rng(25)
+        on = fine[rng.integers(0, fine.size, 2000)]
+        k = rng.integers(0, fine.size - 1, 3000)
+        on2 = np.concatenate([on, on])
+        edges = np.concatenate([on + 1e-9, on - 1e-9])
+        return np.concatenate([
+            rng.uniform(-1e-6, 1.0 + 1e-6, 3000),
+            on,
+            (fine[k] + fine[k + 1]) / 2,  # midpoints, some of them exact ties
+            edges,  # a distance of about 1e-9, on either side of the tolerance
+            np.nextafter(edges, on2),
+            np.nextafter(edges, 2 * edges - on2),
+            [0.0, -0.0, 1.0, -1e-9, 1.0 + 1e-9, 0.5e-6, 1.5e-6],
+        ])
+
+    def test_matches_argmin_over_the_whole_grid(self, fine, probes):
+        # a full argmin costs milliseconds a probe, so it runs on a sample and
+        # on the non-finite probes, where the window below cannot be placed
+        x = np.concatenate([probes[::100], [np.nan, np.inf, -np.inf]])
+        i, distance = _nearest(fine, x)
+        for probe, got_i, got_d in zip(x, i, distance):
+            ref_i, ref_d = argmin_lookup(fine, probe)
+            assert got_i == ref_i or not np.isfinite(probe), probe  # refused either way
+            assert got_d.tobytes() == ref_d.tobytes(), probe
+
+    def test_matches_argmin_at_every_probe(self, fine, probes):
+        # the nearest point lies within two steps of x / step, and every point
+        # outside a 50-step window is dozens of steps further off, so argmin
+        # over the window is argmin over the grid
+        assert probes.size >= 10**4
+        i, distance = _nearest(fine, probes)
+        centre = np.clip(np.rint(probes / 1e-6).astype(int), 0, fine.size - 1)
+        for probe, c, got_i, got_d in zip(probes, centre, i, distance):
+            start = max(c - 50, 0)
+            ref_i, ref_d = argmin_lookup(fine[start:c + 50], probe)
+            assert (got_i, got_d) == (start + ref_i, ref_d), probe
+            assert _nearest(fine, float(probe)) == (got_i, got_d)
+
+    def test_require_member_takes_exactly_what_lies_within_1e9(self, fine, probes):
+        grid = ActionGrid(fine)
+        nearest, distance = _nearest(fine, probes)
+        accepted = distance <= 1e-9
+        assert 0 < accepted.sum() < probes.size
+        for probe, ok, i in zip(probes, accepted, nearest):
+            if ok:
+                assert grid.require_member(probe) == fine[i]
+            else:
+                with pytest.raises(DomainError, match=r"^effort .* is not on the action grid$"):
+                    grid.require_member(probe)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DomainError, match=f"^effort {bad!r} is not on"):
+                grid.require_member(bad)
+
+    def test_a_tie_goes_to_the_lower_value(self):
+        values = np.arange(9) * 0.25  # exact, so every midpoint is an exact tie
+        midpoints = values[:-1] + 0.125
+        i, distance = _nearest(values, midpoints)
+        assert i.tolist() == list(range(8))
+        assert np.all(distance == 0.125)
+        assert [argmin_lookup(values, m)[0] for m in midpoints] == list(range(8))
 
 
 class TestPolicy:

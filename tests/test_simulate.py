@@ -152,6 +152,19 @@ class TestHorizons:
                 assert truncation_bound(mdp, h) <= target
                 assert h <= 2 or truncation_bound(mdp, h - 2) > target
 
+    @pytest.mark.parametrize("half_cost, gamma, target", [
+        # a subnormal target: the bound keeps a few bits, and one more step
+        # past the formula's horizon left it at 4.12e-318
+        (5.215354866763183 / 2, 0.9999808138393249, 3.428465e-318),
+        # the CLI's own target: the logs' rounding, divided by log gamma of
+        # -2.1e-13, put the formula hundreds of steps short
+        (6.78226840593168e294, 0.9999999999997865, 1e-6),
+    ])
+    def test_a_horizon_the_formula_misses_is_searched_for(self, mdp, half_cost, gamma, target):
+        far = dataclasses.replace(mdp, cost=CostModel(half_cost, half_cost), gamma=gamma)
+        h = minimal_horizon(far, target)
+        assert truncation_bound(far, h) <= target < truncation_bound(far, h - 1)
+
     def test_a_zero_cost_ceiling_gets_horizon_one(self, harm):
         # 5e-324 * e**2 + 5e-324 * e rounds to 0 at e_max 0.4: nothing is cut off
         space = build_state_space(0.0, 0.4, 11, 0.4)

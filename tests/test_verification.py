@@ -13,7 +13,7 @@ import pytest
 import regmdp.policy as policy_module
 import regmdp.thresholds as thresholds
 import regmdp.verification as verification
-from regmdp import InsufficientMaxEffortError
+from regmdp import DomainError, InsufficientMaxEffortError
 from regmdp.policy import ValueFunction
 
 
@@ -115,3 +115,30 @@ def test_design_suite_reports_too_few_feasible_designs(monkeypatch):
     assert result.checks == 1
     assert len(result.failures) == 1
     assert result.failures[0].startswith("only 0/2 feasible designs found in 300 attempts")
+
+
+def unbounded_random_levels(rng, n, top):
+    """random_levels before its draws were bounded: the reference for every draw that ends."""
+    if rng.random() < 0.5:
+        return np.linspace(0.0, top, n)
+    while True:
+        interior = np.sort(rng.uniform(0.0, top, size=n - 2))
+        levels = np.concatenate([[0.0], interior, [top]])
+        if np.min(np.diff(levels)) > 1e-3:
+            return levels
+
+
+@pytest.mark.parametrize("n", [3, 11, 31, 45])
+def test_random_levels_keeps_every_draw_that_ends(n):
+    for seed in range(40):
+        got = verification.random_levels(np.random.default_rng(seed), n, 0.8)
+        want = unbounded_random_levels(np.random.default_rng(seed), n, 0.8)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_random_levels_gives_up_where_no_draw_passes():
+    # at 201 levels on [0, 0.6] no gap pattern passes in practice, and the
+    # unbounded loop never ended; seed 0 takes the random branch
+    with pytest.raises(DomainError, match=r"^no random grid of 201 levels from 0 to 0\.6 "
+                                          r"with every gap above 0\.001 in 10,000 draws$"):
+        verification.random_levels(np.random.default_rng(0), 201, 0.6)
