@@ -67,7 +67,7 @@ class StateSpace:
         """Index of the state matching `level` (within 1e-9)."""
         i, distance = _nearest(self.levels, level)
         if not distance <= _LEVEL_ATOL:
-            raise DomainError(f"{level!r} is not a state level")
+            raise DomainError(f"{float(level)!r} is not a state level")
         return int(i)
 
 
@@ -123,7 +123,7 @@ class ActionGrid:
         """Return the grid effort matching e (within 1e-9) or raise."""
         i, distance = _nearest(self.efforts, e)
         if not distance <= _LEVEL_ATOL:
-            raise DomainError(f"effort {e!r} is not on the action grid")
+            raise DomainError(f"effort {float(e)!r} is not on the action grid")
         return float(self.efforts[i])
 
 

@@ -2,18 +2,17 @@
 
 Threshold policies, the ones the solver scans, are evaluated in O(n) over
 the chain's structure (`ThresholdChain`), whose threshold-independent tables
-are built once per solve. The chain is the one place the hold margin is
-computed (`ThresholdChain.margins`), for the solve and the backlash design: a
-threshold takes its backlash value in O(1) from a backward pass in those
-tables, then its values in one substitution pass, which still pass the
-Bellman-residual and range checks. The final values
-(`evaluate_threshold_policy`, which builds the tables for one threshold) come
-from a forward pass instead. Any other policy is evaluated by solving the
-linear fixed point v = r + gamma P v densely (`evaluate_policy`), which also
-serves as the structured path's check in `verification`. Either way a value
-function is returned only once its Bellman residual is within rounding. Policy iteration over the full action
-grid is retained purely as an independent optimality oracle for cross-checks;
-nothing else depends on it.
+are built once per solve. The chain is the one place a threshold's values and
+its hold margin are computed (`ThresholdChain.values` and `margins`), for the
+solve, the backlash design and the final values alike: a threshold takes its
+backlash value in O(1) from a backward pass in those tables, then its values
+in one substitution pass, which must pass the Bellman-residual and range
+checks. Any other policy is evaluated by solving the linear fixed point
+v = r + gamma P v densely (`evaluate_policy`), which also serves as the
+structured path's check in `verification`. Either way a value function is
+returned only once its Bellman residual is within rounding. Policy iteration
+over the full action grid is retained purely as an independent optimality
+oracle for cross-checks; nothing else depends on it.
 
 All functions are pure functions of immutable inputs, so sweeps over policies
 or thresholds may run concurrently without coordination.
@@ -146,24 +145,24 @@ class ThresholdChain:
     With D_i = 1 - gamma (1 - h_i)(1 - g_i), each state i that complies has
     v_i = alpha_i + beta_i V_B + delta_i v_{i-1}, where alpha_i = -c_i / D_i,
     beta_i = gamma h_i / D_i and delta_i = gamma (1 - h_i) g_i / D_i. A state
-    above the threshold plays its own level, so its coefficients, with
-    sigma_i = (1 - gamma) / D_i, h_i, c_i and g_i, are the same for every
-    threshold; so are the value floor and the residual bound. They are built
-    here once, by vectorised expressions, as Python floats in lists.
+    above the threshold plays its own level, so its coefficients, h_i, c_i and
+    g_i are the same for every threshold; so are the value floor and the
+    residual bound. They are built here once, by vectorised expressions, as
+    Python floats in lists.
 
     So is a backward pass over them that gives the backlash value at every
     split k (states k .. n-1 comply) in O(1): from P_n = 0, R_n = 1, S_n = 0,
     P_{k-1} = P_k + R_k alpha_{k-1}, S_{k-1} = S_k + R_k sigma_{k-1} and
-    R_{k-1} = R_k delta_{k-1}, so that V_B = (P_k + R_k u) / (S_k + R_k q)
-    when the state below the split has value u + (1 - q) V_B. S_k, like q,
-    is a sum of positive terms, so V_B does not cancel as gamma nears 1.
+    R_{k-1} = R_k delta_{k-1}, with sigma_i = (1 - gamma) / D_i, so that
+    V_B = (P_k + R_k u) / (S_k + R_k q) when the state below the split has
+    value u + (1 - q) V_B. S_k, like q, is a sum of positive terms, so V_B
+    does not cancel as gamma nears 1.
 
-    `values` gives the final values of one threshold by the forward pass
-    `_pass`. `margins` (and `margin` for one threshold) give the hold margin
-    from `_gap`: V_B from the backward pass, then the values from it by one
-    substitution pass. Both paths check their values with `_verify`, and
-    neither makes a NumPy call over the states: `optimal_threshold` builds one
-    chain per solve and scans some 600 to 1,000 thresholds on it.
+    `values`, `margins` and `margin` all run `_gap`: V_B from the backward
+    pass, then the values from it by one substitution pass, checked with
+    `_verify`. `values` returns those values and the margins the gap. No path
+    makes a NumPy call over the states: `optimal_threshold` builds one chain
+    per solve and scans some 600 to 1,000 thresholds on it.
     """
 
     __slots__ = ("mdp", "_levels", "_coef", "_hg", "_c", "_p", "_r", "_s", "_limits")
@@ -181,9 +180,8 @@ class ThresholdChain:
         s = np.append(np.cumsum((r[1:] * sigma)[::-1])[::-1], 0.0)
         self.mdp = mdp
         self._levels = levels.tolist()
-        # per-state tuples, so that a pass slices one list where it would slice four
-        self._coef = list(zip(alpha.tolist(), (gamma * h / d).tolist(), delta.tolist(),
-                              sigma.tolist()))
+        # per-state tuples, so that a pass slices one list where it would slice three
+        self._coef = list(zip(alpha.tolist(), (gamma * h / d).tolist(), delta.tolist()))
         self._hg, self._c = list(zip(h.tolist(), g.tolist())), c.tolist()
         self._p, self._r, self._s = p.tolist(), r.tolist(), s.tolist()
         self._limits = _value_limits(mdp)
@@ -192,20 +190,19 @@ class ThresholdChain:
         """Values of the policy that plays max(tau, required effort) everywhere, in O(n).
 
         The states at or below tau all play tau and a harm event lands in the
-        backlash state wherever it happens, so they share one value
-        u + w V_B: u and w are state 0's alpha and beta at effort tau, since
-        g_0 = 0. One forward pass carries v_i = a_i + b_i V_B, and s_i = 1 - b_i
-        as the sum of positive terms sigma_i + delta_i s_{i-1}, so V_B = a / s
-        at the top state does not cancel as gamma nears 1. The values must pass
-        `_verify`'s checks.
+        backlash state wherever it happens, so they share one value. The
+        values are `_gap`'s, from the backward tables and one substitution
+        pass, and have passed `_verify`'s checks.
         """
-        return self._pass(self._held(tau), float(self.mdp.harm.prob(tau)),
-                          float(self.mdp.cost.value(tau)))
+        mdp = self.mdp
+        _, v = self._gap(self._held(tau), float(mdp.harm.prob(tau)), float(mdp.cost.value(tau)))
+        v = [x + 0.0 for x in v]  # + 0.0 turns -0.0 into 0.0
+        return [v[0]] * (len(self._levels) - len(v)) + v  # v[0] is every held state's
 
     def margin(self, tau: float) -> float:
         """`margins` at one threshold, in Python floats, bit for bit."""
         mdp = self.mdp
-        gap = self._gap(self._held(tau), float(mdp.harm.prob(tau)), float(mdp.cost.value(tau)))
+        gap, _ = self._gap(self._held(tau), float(mdp.harm.prob(tau)), float(mdp.cost.value(tau)))
         return -mdp.gamma * float(mdp.harm.derivative(tau)) * gap - float(mdp.cost.derivative(tau))
 
     def margins(self, taus: np.ndarray) -> np.ndarray:
@@ -235,10 +232,11 @@ class ThresholdChain:
             held = ks > 0
             t = e[held]
             gaps = np.empty(e.shape)
-            gaps[held] = list(map(self._gap, ks[held].tolist(), mdp.harm.prob(t).tolist(),
-                                  mdp.cost.value(t).tolist()))
+            gaps[held] = [gap for gap, _ in map(self._gap, ks[held].tolist(),
+                                                mdp.harm.prob(t).tolist(),
+                                                mdp.cost.value(t).tolist())]
             if not held.all():
-                gaps[~held] = self._gap(0, 0.0, 0.0)
+                gaps[~held] = self._gap(0, 0.0, 0.0)[0]
             out[start:start + e.size] = (
                 -mdp.gamma * mdp.harm.derivative(e) * gaps - mdp.cost.derivative(e)
             )
@@ -255,59 +253,38 @@ class ThresholdChain:
             f"threshold must lie in [0, {self.mdp.space.backlash_level}], got {tau}"
         )
 
-    def _start(self, k: int, h0: float, c0: float):
-        """(k, h0, c0, u, w, q): the held block's value is u + w V_B, q = 1 - w.
+    def _gap(self, k: int, h0: float, c0: float):
+        """(held value minus backlash value, values), given k = the count of levels <= tau.
 
-        k counts the levels <= tau; h0 and c0 are h(tau) and c(tau). At k = 0,
-        tau lies below every level, so state 0 complies with its own level
-        and stands in for the held block: k becomes 1 and h0, c0 state 0's.
+        h0 and c0 are h(tau) and c(tau), and the held block's value is
+        u + (1 - q) V_B. At k = 0, tau lies below every level, so state 0
+        complies with its own level and stands in for the held block: k
+        becomes 1 and h0, c0 state 0's (g_0 = 0, so u and q are then its
+        alpha_0 and sigma_0). V_B comes from the backward pass in O(1); one
+        substitution pass, v_i = alpha_i + beta_i V_B + delta_i v_{i-1}, then
+        fills in the values, which must pass `_verify`'s checks. The checks
+        take V_B from the last of those values, so a wrong V_B shows up as a
+        residual. The gap is u - q V_B = (-c(tau) - (1 - gamma) V_B) /
+        (1 - gamma (1 - h(tau))): the held value and V_B grow like
+        1 / (1 - gamma), so their difference is rounding noise as gamma nears
+        1. The held value is V_B + gap. The values are the held states' shared
+        one, then those of states k .. n-1.
         """
         if not k:
-            alpha, beta, _, sigma = self._coef[0]
-            return 1, self._hg[0][0], self._c[0], alpha, beta, sigma
+            k, h0, c0 = 1, self._hg[0][0], self._c[0]
         gamma = self.mdp.gamma
         d = 1.0 - gamma * (1.0 - h0)
-        return k, h0, c0, -c0 / d, gamma * h0 / d, (1.0 - gamma) / d
-
-    def _pass(self, k: int, h0: float, c0: float) -> list:
-        """`values`' forward pass, given k = the count of levels <= tau."""
-        k, h0, c0, a, b, s = self._start(k, h0, c0)
-        a0, b0 = a, b
-        coef_a, coef_b = [], []
-        for al, be, de, si in self._coef[k:]:
-            a = al + de * a
-            b = be + de * b
-            s = si + de * s
-            coef_a.append(a)
-            coef_b.append(b)
-        top = a / s
-        held = a0 + b0 * top + 0.0  # + 0.0 turns -0.0 into 0.0
-        v = [held] + [x + y * top + 0.0 for x, y in zip(coef_a, coef_b)]
-        self._verify(k, h0, c0, v)
-        return [held] * (k - 1) + v
-
-    def _gap(self, k: int, h0: float, c0: float) -> float:
-        """Held value minus backlash value, given k = the count of levels <= tau.
-
-        V_B comes from the backward pass in O(1); one substitution pass,
-        v_i = alpha_i + beta_i V_B + delta_i v_{i-1}, then fills in the values,
-        which must pass `_verify`'s checks. The checks take V_B from the last
-        of those values, so a wrong V_B shows up as a residual. The gap is
-        u - q V_B = (-c(tau) - (1 - gamma) V_B) / (1 - gamma (1 - h(tau))): the
-        held value and V_B grow like 1 / (1 - gamma), so their difference is
-        rounding noise as gamma nears 1. The held value is V_B + gap (w + q = 1).
-        """
-        k, h0, c0, u, _, q = self._start(k, h0, c0)
+        u, q = -c0 / d, (1.0 - gamma) / d
         rk = self._r[k]
         vb = (self._p[k] + rk * u) / (self._s[k] + rk * q)
         gap = u - q * vb
         prev = vb + gap
         v = [prev]
-        for al, be, de, _ in self._coef[k:]:
+        for al, be, de in self._coef[k:]:
             prev = al + be * vb + de * prev
             v.append(prev)
         self._verify(k, h0, c0, v)
-        return gap
+        return gap, v
 
     def _verify(self, k: int, h0: float, c0: float, v: list) -> None:
         """Refuse values whose Bellman residual or range breaks `_value_limits`.
@@ -334,9 +311,11 @@ def evaluate_threshold_policy(mdp: RegulationMdp, tau: float) -> ValueFunction:
 
     Builds the MDP's `ThresholdChain` and evaluates tau on it, so a caller
     that evaluates many thresholds on one MDP builds the chain once instead.
-    The values pass `evaluate_policy`'s Bellman-residual bound and range
-    check; `verification.states_below_threshold_share_value` compares them
-    with the dense solve of the same policy.
+    The values come from the chain's backward tables and one substitution
+    pass, the ones its hold margin uses, and pass `evaluate_policy`'s
+    Bellman-residual bound and range check;
+    `verification.states_below_threshold_share_value` compares them with the
+    dense solve of the same policy.
     """
     return ValueFunction(mdp.space, ThresholdChain(mdp).values(tau))
 

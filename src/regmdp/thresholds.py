@@ -22,7 +22,8 @@ from .errors import (
 from .mdp import ActionGrid, RegulationMdp, StateSpace, build_action_grid
 from .policy import ThresholdChain
 from .primitives import (
-    CostModel, DriftModel, HarmModel, WelfareModel, _bisect, socially_optimal_effort,
+    CostModel, DriftModel, HarmModel, WelfareModel, _bisect, _effort_array,
+    socially_optimal_effort,
 )
 
 _ATTAIN_TOL = 1e-3  # how close a requirement must come to an optimum to attain it
@@ -84,9 +85,7 @@ def static_expected_utility(regime: StaticRegime, cost: CostModel, e, e_c: float
     so the failure probability is forced to zero for e >= e_c no matter what
     the supplied failure family returns there.
     """
-    e_arr = np.asarray(e, dtype=float)
-    if np.any(e_arr < 0) or not np.all(np.isfinite(e_arr)):
-        raise DomainError(f"effort must be finite and non-negative, got {e!r}")
+    e_arr = _effort_array(e)
     pf = np.where(e_arr < e_c, np.asarray(regime.fail_model(e_arr, e_c), dtype=float), 0.0)
     if np.any(pf < 0) or np.any(pf > 1):
         raise DomainError("failure model produced probabilities outside [0, 1]")

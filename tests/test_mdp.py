@@ -1,6 +1,7 @@
 """State space, action grid, policies, and transition structure."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -49,8 +50,9 @@ class TestStateSpace:
     def test_index_of_matches_with_tolerance(self, space):
         assert space.index_of(0.5) == 5
         assert space.index_of(0.5 + 1e-12) == 5
-        with pytest.raises(DomainError):
-            space.index_of(0.55)
+        for refused in (0.55, np.float64(0.55)):
+            with pytest.raises(DomainError, match=r"^0\.55 is not a state level$"):
+                space.index_of(refused)
         with pytest.raises(DomainError):  # NaN is within 1e-9 of no level, not of the first
             space.index_of(np.nan)
 
@@ -224,12 +226,15 @@ class TestNearest:
         for probe, ok, i in zip(probes, accepted, nearest):
             if ok:
                 assert grid.require_member(probe) == fine[i]
-            else:
-                with pytest.raises(DomainError, match=r"^effort .* is not on the action grid$"):
+            else:  # probe is a NumPy scalar; the message prints it as a plain float
+                with pytest.raises(DomainError, match=(
+                    f"^effort {re.escape(repr(float(probe)))} is not on the action grid$"
+                )):
                     grid.require_member(probe)
         for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(DomainError, match=f"^effort {bad!r} is not on"):
-                grid.require_member(bad)
+            for refused in (bad, np.float64(bad)):
+                with pytest.raises(DomainError, match=f"^effort {bad!r} is not on the action"):
+                    grid.require_member(refused)
 
     def test_a_tie_goes_to_the_lower_value(self):
         values = np.arange(9) * 0.25  # exact, so every midpoint is an exact tie

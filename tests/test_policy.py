@@ -24,6 +24,8 @@ from regmdp import (
 from regmdp.thresholds import optimal_threshold
 from regmdp.verification import random_mdp
 
+from conftest import forward_pass, forward_values
+
 DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
 
 
@@ -163,9 +165,9 @@ def _assert_closed_form_matches(mdp):
 
     Split k holds states 0 .. k-1 at the effort levels[k - 1]; at k = 0 every
     state complies, which no threshold gives when the lowest level is 0, so
-    the splits go through `_gap` and `_pass` directly. They must agree within
-    one (3n + 4)-ulp residual bound of the value scale; about 2 ulps is the
-    worst seen on these configs and draws.
+    the splits go through `_gap` and the tests' `forward_pass` directly. They
+    must agree within one (3n + 4)-ulp residual bound of the value scale;
+    about 2 ulps is the worst seen on these configs and draws.
     """
     chain = policy_module.ThresholdChain(mdp)
     levels = mdp.space.levels.tolist()
@@ -176,8 +178,8 @@ def _assert_closed_form_matches(mdp):
         h0 = c0 = 0.0
         if k:
             h0, c0 = float(mdp.harm.prob(levels[k - 1])), float(mdp.cost.value(levels[k - 1]))
-        v = chain._pass(k, h0, c0)
-        assert abs(chain._gap(k, h0, c0) - (v[0] - v[-1])) <= bound, k
+        v = forward_pass(mdp, k, h0, c0)
+        assert abs(chain._gap(k, h0, c0)[0] - (v[0] - v[-1])) <= bound, k
 
 
 class TestClosedFormGap:
@@ -296,42 +298,67 @@ class TestStructuredAgainstDense:
         assert "%.12g" % structured[0] == "%.12g" % float(exact[0]) == "-481419.370778"
 
 
+def _assert_near_exact(mdp):
+    """At the stable effort, every value lies within (n + 4) ulps of the exact one.
+
+    The exact values are `forward_pass` in Fractions, from the same float
+    inputs; the ulps are those of the value scale c(e_max) / (1 - gamma).
+    The worst on these configs and draws is about 3.5 ulps, at 201 states.
+    """
+    tau = optimal_threshold(mdp)
+    exact = forward_values(mdp, tau, Fraction)
+    values = evaluate_threshold_policy(mdp, tau).values.tolist()
+    bound = (mdp.space.n_states + 4) * np.spacing(mdp.cost_ceiling / (1.0 - mdp.gamma))
+    assert max(abs(Fraction(x) - y) for x, y in zip(values, exact)) <= Fraction(bound)
+
+
+class TestExactValues:
+    @pytest.mark.parametrize("edge", ["gamma 0.9999", "201 states, gamma 0.9999"])
+    def test_at_gamma_09999(self, edge):
+        _assert_near_exact(load_config(None, EDGES[edge]).mdp())
+
+    def test_on_random_draws(self):
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            _assert_near_exact(random_mdp(rng, (3, 40), (0.3, 0.9999)))
+
+
 # the stable effort as float hex, and a digest of the float hex of the values
 # under it, that optimal_threshold and evaluate_threshold_policy return on 20
 # seeded random_mdp draws and on the edge configs; a change to the solver's
 # arithmetic must reproduce them bit for bit
 SEED_GOLDEN = {
-    0: ("0x1.29f374bc6a7f0p-3", "92851bb3acbfbeb7"),
-    1: ("0x1.0df9fbe76c8b4p-2", "830535c3c3e927e4"),
-    2: ("0x0.0p+0", "00f86f9be47eb35e"),
-    3: ("0x0.0p+0", "e6ef692fa8fa67b7"),
-    4: ("0x1.0eca1cac08312p-2", "809c0fe1f1bd716e"),
-    5: ("0x1.dc1e353f7ced9p-4", "0868bd02c22fa6a9"),
-    6: ("0x1.46883126e978ep-5", "53e776b35752eb6b"),
-    7: ("0x1.4bebc6a7ef9dcp-3", "ebe5a25743379882"),
-    8: ("0x1.2673b645a1cacp-5", "b59aa4dee5b38fa0"),
-    9: ("0x1.50689374bc6a8p-2", "e577a1fb69d48247"),
-    10: ("0x1.fdfc6a7ef9db2p-4", "95ef3dc10a6350d4"),
-    11: ("0x1.c20e560418937p-6", "5210e9cf0bb5798c"),
-    12: ("0x1.18b04189374bcp-2", "21c8a10335e42ff9"),
-    13: ("0x1.614f7ced91688p-2", "c3802a4554bede7e"),
-    14: ("0x1.8a0810624dd30p-2", "4308e0586885c18e"),
-    15: ("0x1.4afced916872cp-5", "5c77744129847680"),
-    16: ("0x1.0f6e560418938p-3", "7f8b0e84011df38f"),
-    17: ("0x0.0p+0", "1a4d8907791c9e02"),
-    18: ("0x1.2715c28f5c290p-3", "3f6ce4e503ab0a70"),
-    19: ("0x1.d051a9fbe76cap-3", "474082f17172af5b"),
+    0: ("0x1.29f374bc6a7f0p-3", "a4542feda9101fb5"),
+    1: ("0x1.0df9fbe76c8b4p-2", "21abd596d5ea6fdc"),
+    2: ("0x0.0p+0", "a27d8db8be4fceaa"),
+    3: ("0x0.0p+0", "0fc52bda02a5acf6"),
+    4: ("0x1.0eca1cac08312p-2", "db3bbccf5fd9cf74"),
+    5: ("0x1.dc1e353f7ced9p-4", "813817dcdd3cf1a9"),
+    6: ("0x1.46883126e978ep-5", "1ab33d80d4b9e164"),
+    7: ("0x1.4bebc6a7ef9dcp-3", "4c33e3163e6ed7e1"),
+    8: ("0x1.2673b645a1cacp-5", "275ebfdf225b9c7e"),
+    9: ("0x1.50689374bc6a8p-2", "f0900b0da551b952"),
+    10: ("0x1.fdfc6a7ef9db2p-4", "5c7ef4a07998dcfc"),
+    11: ("0x1.c20e560418937p-6", "180bd10dad83f8d8"),
+    12: ("0x1.18b04189374bcp-2", "6b0aefbb2721caa0"),
+    13: ("0x1.614f7ced91688p-2", "1204e0556cc80da6"),
+    14: ("0x1.8a0810624dd30p-2", "c9f96463ee4d5881"),
+    15: ("0x1.4afced916872cp-5", "82ed21b0440cd8bb"),
+    16: ("0x1.0f6e560418938p-3", "3f94940f82dee752"),
+    17: ("0x0.0p+0", "5335ed2b78715de0"),
+    18: ("0x1.2715c28f5c290p-3", "a554e568fdce5c66"),
+    19: ("0x1.d051a9fbe76cap-3", "4c30cb9c33873fa3"),
 }
 EDGE_GOLDEN = {
-    "gamma 0.9999": ("0x1.fd478d4fdf3b6p-2", "ae3cf6f6ca834e9b"),
-    "201 states, gamma 0.9999": ("0x1.21af4bc6a7efbp-1", "bbc1673aea9dc437"),
-    "1001 states": ("0x1.f994dd2f1a9fcp-2", "53bd7fbd063a5355"),
-    "drift 0": ("0x1.fa2851eb851eap-2", "052ec6a987218d97"),
-    "drift 1": ("0x1.8ab76c8b43958p-2", "8d5543ae84734606"),
-    "k 1e4": ("0x1.3d4fdf3b645a3p-10", "9b9a39e4d10d7496"),
-    "h_max 1": ("0x1.db951eb851ebap-2", "70366f91c19a8d1f"),
-    "state_min 0.3": ("0x1.d851cac083128p-2", "775dddaf5bc6f7f8"),
-    "patient, costly effort": ("0x1.8751810624dd4p+0", "09894825c1cf1832"),
+    "gamma 0.9999": ("0x1.fd478d4fdf3b6p-2", "8065bf79b605972f"),
+    "201 states, gamma 0.9999": ("0x1.21af4bc6a7efbp-1", "cc11e015dc9bb3c5"),
+    "1001 states": ("0x1.f994dd2f1a9fcp-2", "5f3008a9ae30f7b6"),
+    "drift 0": ("0x1.fa2851eb851eap-2", "a1e19adcb4272466"),
+    "drift 1": ("0x1.8ab76c8b43958p-2", "8fe7426badfecbf9"),
+    "k 1e4": ("0x1.3d4fdf3b645a3p-10", "0deed22d76fb8a90"),
+    "h_max 1": ("0x1.db951eb851ebap-2", "a691e62c7341abf6"),
+    "state_min 0.3": ("0x1.d851cac083128p-2", "6b982471ee4c6c7a"),
+    "patient, costly effort": ("0x1.8751810624dd4p+0", "62b6732fdacd05b5"),
 }
 
 

@@ -33,6 +33,8 @@ from regmdp.policy import ThresholdChain
 from regmdp.primitives import _bisect
 from regmdp.verification import random_mdp
 
+from conftest import forward_values
+
 E_STAR = 0.6284733737717892
 E_STAR_2 = 0.8401322599573315
 K_CANONICAL = 9.253834082933784
@@ -158,9 +160,9 @@ def _candidates(mdp):
 
 
 def _forward_margin(chain, e):
-    """`ThresholdChain.margin` with its gap from the forward pass, `ThresholdChain.values`."""
+    """`ThresholdChain.margin` with its gap from the tests' forward pass."""
     mdp = chain.mdp
-    v = chain.values(e)
+    v = forward_values(mdp, e)
     return (-mdp.gamma * float(mdp.harm.derivative(e)) * (v[0] - v[-1])
             - float(mdp.cost.derivative(e)))
 
