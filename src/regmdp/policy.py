@@ -148,7 +148,7 @@ class ThresholdChain:
     above the threshold plays its own level, so its coefficients, h_i, c_i and
     g_i are the same for every threshold; so are the value floor and the
     residual bound. They are built here once, by vectorised expressions, as
-    Python floats in lists.
+    Python floats in one list of (alpha, beta, delta, h, g, c) rows.
 
     So is a backward pass over them that gives the backlash value at every
     split k (states k .. n-1 comply) in O(1): from P_n = 0, R_n = 1, S_n = 0,
@@ -159,13 +159,13 @@ class ThresholdChain:
     does not cancel as gamma nears 1.
 
     `values`, `margins` and `margin` all run `_gap`: V_B from the backward
-    pass, then the values from it by one substitution pass, checked with
-    `_verify`. `values` returns those values and the margins the gap. No path
-    makes a NumPy call over the states: `optimal_threshold` builds one chain
-    per solve and scans some 600 to 1,000 thresholds on it.
+    pass, then one walk over the states that fills in the values from it
+    and checks them. `values` returns those values and the margins the gap.
+    No path makes a NumPy call over the states: `optimal_threshold` builds
+    one chain per solve and scans some 600 to 1,000 thresholds on it.
     """
 
-    __slots__ = ("mdp", "_levels", "_coef", "_hg", "_c", "_p", "_r", "_s", "_limits")
+    __slots__ = ("mdp", "_levels", "_rows", "_p", "_r", "_s", "_limits")
 
     def __init__(self, mdp: RegulationMdp):
         gamma, levels, g = mdp.gamma, mdp.space.levels, mdp.drift.probs
@@ -180,9 +180,8 @@ class ThresholdChain:
         s = np.append(np.cumsum((r[1:] * sigma)[::-1])[::-1], 0.0)
         self.mdp = mdp
         self._levels = levels.tolist()
-        # per-state tuples, so that a pass slices one list where it would slice three
-        self._coef = list(zip(alpha.tolist(), (gamma * h / d).tolist(), delta.tolist()))
-        self._hg, self._c = list(zip(h.tolist(), g.tolist())), c.tolist()
+        # one row per state, so that a pass slices one list
+        self._rows = np.column_stack([alpha, gamma * h / d, delta, h, g, c]).tolist()
         self._p, self._r, self._s = p.tolist(), r.tolist(), s.tolist()
         self._limits = _value_limits(mdp)
 
@@ -192,7 +191,7 @@ class ThresholdChain:
         The states at or below tau all play tau and a harm event lands in the
         backlash state wherever it happens, so they share one value. The
         values are `_gap`'s, from the backward tables and one substitution
-        pass, and have passed `_verify`'s checks.
+        pass, and have passed the Bellman-residual and range checks.
         """
         mdp = self.mdp
         _, v = self._gap(self._held(tau), float(mdp.harm.prob(tau)), float(mdp.cost.value(tau)))
@@ -262,16 +261,21 @@ class ThresholdChain:
         becomes 1 and h0, c0 state 0's (g_0 = 0, so u and q are then its
         alpha_0 and sigma_0). V_B comes from the backward pass in O(1); one
         substitution pass, v_i = alpha_i + beta_i V_B + delta_i v_{i-1}, then
-        fills in the values, which must pass `_verify`'s checks. The checks
-        take V_B from the last of those values, so a wrong V_B shows up as a
-        residual. The gap is u - q V_B = (-c(tau) - (1 - gamma) V_B) /
-        (1 - gamma (1 - h(tau))): the held value and V_B grow like
-        1 / (1 - gamma), so their difference is rounding noise as gamma nears
-        1. The held value is V_B + gap. The values are the held states' shared
-        one, then those of states k .. n-1.
+        fills in the values. The same loop recomputes r + gamma P v in each
+        state from h, c and g with that V_B and keeps the worst residual; the
+        held states share v, h and c, and each drifts to a state of the same
+        value, so their residual is one number. Each residual is
+        gamma h_i-Lipschitz in V_B and h_i <= 1, so the worst one plus
+        gamma |v[-1] - V_B| bounds the residual taken with V_B read back from
+        the last value: a wrong V_B shows up as a residual, and `_check`
+        refuses values past `_value_limits`. The gap is
+        u - q V_B = (-c(tau) - (1 - gamma) V_B) / (1 - gamma (1 - h(tau))):
+        the held value and V_B grow like 1 / (1 - gamma), so their difference
+        is rounding noise as gamma nears 1. The held value is V_B + gap. The
+        values are the held states' shared one, then those of states k .. n-1.
         """
         if not k:
-            k, h0, c0 = 1, self._hg[0][0], self._c[0]
+            k, h0, c0 = 1, self._rows[0][3], self._rows[0][5]
         gamma = self.mdp.gamma
         d = 1.0 - gamma * (1.0 - h0)
         u, q = -c0 / d, (1.0 - gamma) / d
@@ -280,30 +284,16 @@ class ThresholdChain:
         gap = u - q * vb
         prev = vb + gap
         v = [prev]
-        for al, be, de in self._coef[k:]:
-            prev = al + be * vb + de * prev
-            v.append(prev)
-        self._verify(k, h0, c0, v)
-        return gap, v
-
-    def _verify(self, k: int, h0: float, c0: float, v: list) -> None:
-        """Refuse values whose Bellman residual or range breaks `_value_limits`.
-
-        v[0] is the shared value of states 0 .. k-1, which play effort tau
-        with harm h0 and cost c0, and v[1:] the values of states k .. n-1.
-        r + gamma P v is recomputed in every state from h, c and g, with V_B
-        the last value. The held states share v, h and c, and each drifts to
-        a state of the same value, so their r + gamma P v is one number,
-        computed once.
-        """
-        gamma = self.mdp.gamma
-        held, vb = v[0], v[-1]
-        residual = abs(held - (gamma * (h0 * vb + (1.0 - h0) * held) - c0))
-        for prev, vi, (hi, gi), ci in zip(v, v[1:], self._hg[k:], self._c[k:]):
+        residual = abs(prev - (gamma * (h0 * vb + (1.0 - h0) * prev) - c0))
+        for al, be, de, hi, gi, ci in self._rows[k:]:
+            vi = al + be * vb + de * prev
             r = abs(vi - (gamma * (hi * vb + (1.0 - hi) * (gi * prev + (1.0 - gi) * vi)) - ci))
             if r > residual:
                 residual = r
-        _check(residual, min(v), max(v), self._limits)
+            v.append(vi)
+            prev = vi
+        _check(residual + gamma * abs(prev - vb), min(v), max(v), self._limits)
+        return gap, v
 
 
 def evaluate_threshold_policy(mdp: RegulationMdp, tau: float) -> ValueFunction:

@@ -91,3 +91,26 @@ def forward_values(mdp, tau, num=float):
     """`forward_pass` for the policy that plays max(tau, required effort) everywhere."""
     k = bisect_right(mdp.space.levels.tolist(), tau)
     return forward_pass(mdp, k, float(mdp.harm.prob(tau)), float(mdp.cost.value(tau)), num)
+
+
+def two_pass_residual(mdp, k, h0, c0, v):
+    """Worst Bellman residual of threshold-chain values v, with V_B read back from v[-1].
+
+    The reference for the residual `ThresholdChain` measures in its value
+    pass: a second walk over the states, recomputing r + gamma P v in each
+    from h, c and g. v[0] is the shared value of the held states 0 .. k-1,
+    which play harm h0 and cost c0, and v[1:] those of states k .. n-1; at
+    k = 0 state 0 complies with its own level and stands in for them.
+    """
+    h = mdp.harm.prob(mdp.space.levels).tolist()
+    c = mdp.cost.value(mdp.space.levels).tolist()
+    g = mdp.drift.probs.tolist()
+    gamma = mdp.gamma
+    if not k:
+        k, h0, c0 = 1, h[0], c[0]
+    held, vb = v[0], v[-1]
+    residual = abs(held - (gamma * (h0 * vb + (1.0 - h0) * held) - c0))
+    for prev, vi, hi, gi, ci in zip(v, v[1:], h[k:], g[k:], c[k:]):
+        r = abs(vi - (gamma * (hi * vb + (1.0 - hi) * (gi * prev + (1.0 - gi) * vi)) - ci))
+        residual = max(residual, r)
+    return residual

@@ -1,5 +1,6 @@
 """Exact evaluation, action values, and the brute-force optimality oracle."""
 
+import dataclasses
 import hashlib
 import pathlib
 from fractions import Fraction
@@ -24,7 +25,7 @@ from regmdp import (
 from regmdp.thresholds import optimal_threshold
 from regmdp.verification import random_mdp
 
-from conftest import forward_pass, forward_values
+from conftest import forward_pass, forward_values, two_pass_residual
 
 DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
 
@@ -150,6 +151,56 @@ class TestThresholdEvaluation:
             evaluate(paid, 0.45)
 
 
+class TestFusedResidual:
+    """The value pass's residual: the worst one against the backward pass's
+    V_B, plus gamma |v[-1] - V_B|, which bounds the residual taken with V_B
+    read back from the last value (`two_pass_residual`, the reference)."""
+
+    def test_a_backlash_value_off_by_more_than_rounding_is_refused(self, mdp, monkeypatch):
+        # each value satisfies its recursion against the skewed V_B, so only
+        # the closure term gamma |v[-1] - V_B| sees that V_B is wrong
+        build = policy_module.ThresholdChain.__init__
+
+        def skewed(self, mdp):
+            build(self, mdp)
+            self._p = [p * (1.0 + 1e-9) for p in self._p]
+
+        monkeypatch.setattr(policy_module.ThresholdChain, "__init__", skewed)
+        with pytest.raises(RuntimeError, match="Bellman residual"):
+            evaluate_threshold_policy(mdp, 0.45)
+        with pytest.raises(RuntimeError, match="Bellman residual"):
+            optimal_threshold(mdp)
+
+    def test_bounds_the_two_pass_residual_at_every_scan_candidate(self, monkeypatch):
+        # 20 draws up to gamma 0.9999, then 6 at the patient edge
+        residuals = []
+        check = policy_module._check
+
+        def recording(residual, v_min, v_max, limits):
+            residuals.append(residual)
+            check(residual, v_min, v_max, limits)
+
+        monkeypatch.setattr(policy_module, "_check", recording)
+        rng = np.random.default_rng(37)
+        patient = (1 - 1e-9, 1 - 1e-12, 1 - 2.0**-53)
+        for case in range(26):
+            mdp = random_mdp(rng, (3, 60), (0.3, 0.9999))
+            if case >= 20:
+                mdp = dataclasses.replace(mdp, gamma=patient[case % 3])
+            chain = policy_module.ThresholdChain(mdp)
+            bound = chain._limits[1]
+            efforts = mdp.actions.efforts
+            cand = efforts[efforts <= mdp.space.backlash_level + 1e-12]
+            ks = np.searchsorted(mdp.space.levels, cand, side="right").tolist()
+            for k, h0, c0 in zip(ks, mdp.harm.prob(cand).tolist(), mdp.cost.value(cand).tolist()):
+                _, v = chain._gap(k, h0, c0)
+                fused = residuals.pop()
+                # each residual rounds within a few ulps of the largest |value|
+                rounding = 4 * float(np.spacing(max(map(abs, v))))
+                assert fused >= two_pass_residual(mdp, k, h0, c0, v) - rounding, (case, k)
+                assert fused <= bound / 2, (case, k)
+
+
 # configs where the closed-form backlash value is checked at every split
 CLOSED_FORM = {
     "canonical": {},
@@ -205,7 +256,7 @@ def _overcharge(monkeypatch):
 
     def overcharging(self, mdp):
         build(self, mdp)
-        self._c = [c + 1e-6 for c in self._c]
+        self._rows = [row[:5] + [row[5] + 1e-6] for row in self._rows]
 
     monkeypatch.setattr(policy_module.ThresholdChain, "__init__", overcharging)
 
