@@ -29,7 +29,6 @@ from .errors import (
     ConstructionError,
     DomainError,
     FeasibilityError,
-    HorizonTooShortError,
     InsufficientMaxEffortError,
 )
 from .mdp import Policy, build_action_grid
@@ -59,15 +58,15 @@ def _format_cell(value):
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return "%.12g" % float(value)
+        return "%.12g" % (float(value) + 0.0)  # + 0.0 turns -0.0 into 0.0
     return str(value)
 
 
 def emit_csv(rows: list, path: str | None = None, fieldnames: list | None = None) -> str:
     """Render homogeneous dict rows as CSV text, optionally writing a file.
 
-    Floats are written with 12 significant digits, so re-emitting a parsed
-    table reproduces it exactly. An empty table needs explicit fieldnames
+    Floats are written with 12 significant digits, and -0.0 as 0, so
+    re-emitting a parsed table reproduces it exactly. An empty table needs explicit fieldnames
     for its header-only output.
     """
     if rows:
@@ -103,8 +102,8 @@ def _jsonify(value):
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
-        # strict JSON has no NaN/Infinity token
-        return float(value) if np.isfinite(value) else None
+        # strict JSON has no NaN/Infinity token; + 0.0 turns -0.0 into 0.0
+        return float(value) + 0.0 if np.isfinite(value) else None
     return value
 
 
@@ -267,7 +266,7 @@ def _cmd_simulate(config: Config):
     start_level = mdp.space.backlash_level if start is None else float(start)
     estimate = estimate_value(
         mdp, policy, start_level=start_level,
-        n_episodes=config["episodes"], horizon=config["horizon"] or None, seed=config["seed"],
+        n_episodes=config["episodes"], seed=config["seed"],
     )
     analytic = float(evaluate_threshold_policy(mdp, stable)[mdp.space.index_of(start_level)])
     z = agreement_z(estimate, analytic)
@@ -364,7 +363,7 @@ def run(argv: list | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (ConstructionError, DomainError, FeasibilityError, HorizonTooShortError) as err:
+    except (ConstructionError, DomainError, FeasibilityError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2
     except Exception:

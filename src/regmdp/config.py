@@ -40,12 +40,11 @@ DEFAULTS = {
     "fail_p0": 1.0,
     "fail_beta": 5.0,
     "episodes": 100000,
-    "horizon": 0,
     "start_state": None,
     "verify_scenarios": 5,
 }
 
-_INT_KEYS = {"state_count", "seed", "episodes", "horizon", "verify_scenarios"}
+_INT_KEYS = {"state_count", "seed", "episodes", "verify_scenarios"}
 
 # the one rule of each numeric key: (test, what its message says the key must do)
 _RULES = {
@@ -61,7 +60,7 @@ _RULES = {
         (lambda v: v > 0, "must be positive"),
     ),
     **dict.fromkeys(
-        ("damage", "state_min", "seed", "horizon", "start_state"),
+        ("damage", "state_min", "seed", "start_state"),
         (lambda v: v >= 0, "must be non-negative"),
     ),
     "verify_scenarios": (lambda v: v >= 1, "must be at least 1"),

@@ -195,7 +195,6 @@ class ThresholdChain:
         """
         mdp = self.mdp
         _, v = self._gap(self._held(tau), float(mdp.harm.prob(tau)), float(mdp.cost.value(tau)))
-        v = [x + 0.0 for x in v]  # + 0.0 turns -0.0 into 0.0
         return [v[0]] * (len(self._levels) - len(v)) + v  # v[0] is every held state's
 
     def margin(self, tau: float) -> float:

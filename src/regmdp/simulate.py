@@ -125,44 +125,46 @@ class ValueEstimate(NamedTuple):
 
 
 def truncation_bound(mdp: RegulationMdp, horizon: int) -> float:
-    """Bound gamma**horizon * cost(e_max) / (1 - gamma) on the return cut off at `horizon`."""
-    return mdp.gamma**horizon * mdp.cost_ceiling / (1.0 - mdp.gamma)
+    """Bound gamma**horizon * c(e_max) / (1 - gamma) on the return cut off at `horizon`.
+
+    Where gamma**horizon and its product with c(e_max) are normal floats the
+    bound is that expression as written. Where either is subnormal or 0, with
+    gamma and c(e_max) positive, the expression has lost digits or all of
+    them (at gamma 0.5 and c(e_max) 1e300 it reads 0 at horizon 1075, where
+    the bound is 4.9e-24), and the bound is exp(horizon log gamma + log
+    c(e_max) - log1p(-gamma)) instead. Against a 60-digit reference both
+    keep a relative error below 1e-12 down to the smallest normal float. At
+    gamma = 0 or c(e_max) = 0 the bound from horizon 1 on is exactly 0.
+    """
+    gamma, c_max = mdp.gamma, mdp.cost_ceiling
+    scale = gamma**horizon
+    cut = scale * c_max
+    # 2**-1022 is the smallest normal float; below it a float keeps fewer digits
+    if scale >= 2.0**-1022 and cut >= 2.0**-1022 or gamma == 0.0 or c_max == 0.0:
+        return cut / (1.0 - gamma)
+    return math.exp(horizon * math.log(gamma) + math.log(c_max) - math.log1p(-gamma))
 
 
 def _check_bias_target(name: str, value: float) -> None:
-    # "not >" so that NaN fails too; at 0 no horizon is long enough, and the
-    # logarithm in minimal_horizon would overflow
+    # "not >" so that NaN fails too; with gamma and c(e_max) positive no
+    # horizon's bound is exactly 0
     if not value > 0.0:
         raise DomainError(f"{name} must be a positive truncation-bias target, got {value!r}")
 
 
 def minimal_horizon(mdp: RegulationMdp, max_bias: float) -> int:
-    """Shortest horizon whose truncation bound meets max_bias, which must be positive.
+    """First horizon whose `truncation_bound` meets max_bias, which must be positive.
 
-    The search starts from ceil((log max_bias + log(1 - gamma) - log
-    c(e_max)) / log gamma), at least 1, with the logs added rather than taken
-    of the product, which can underflow. That formula gives 1 at gamma = 0,
-    where log gamma = -inf, and at c(e_max) = 0, where log c(e_max) = -inf and
-    no return is cut off. It can land short: the logs round, and dividing by
-    log gamma magnifies that to hundreds of steps at gamma 1 - 2e-13; and
-    where gamma**horizon is subnormal, `truncation_bound` keeps only a few
-    bits, so one more step may not lower it. Where the formula's horizon
-    misses max_bias, the search doubles its step until `truncation_bound`
-    meets max_bias, then bisects back to the first horizon that does. The
-    bound is 0 once gamma**horizon underflows, so every positive max_bias is
-    met, and `estimate_value` accepts the horizon returned. A formula
-    horizon that meets max_bias is kept even where a shorter one would too;
-    seeded draws find that only at 1 - gamma below 1e-12, where the horizon
-    is past 1e12 steps and the episode-step cap refuses any run.
+    From (short, long) = (0, 1) the gap doubles until the bound at `long`
+    meets max_bias, then bisection closes it to 1, so the horizon returned
+    meets max_bias and, unless it is 1, the one before it does not. The bound
+    goes to 0 as the horizon grows, so every positive max_bias is met, and
+    `estimate_value` accepts the horizon returned.
     """
     _check_bias_target("max_bias", max_bias)
-    # log 0 = -inf at gamma = 0 or c(e_max) = 0; fmax takes 1 over a -inf or NaN quotient
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio = np.log(max_bias) + np.log(1.0 - mdp.gamma) - np.log(mdp.cost_ceiling)
-        horizon = int(np.fmax(1.0, np.ceil(log_ratio / np.log(mdp.gamma))))
-    # `short` misses max_bias (taken so for the formula's horizon - 1), and the
-    # gap to `long` doubles until `long` meets it
-    short, long = horizon - 1, horizon
+    # `short` misses max_bias (0 is taken so), and the gap to `long` doubles
+    # until `long` meets it
+    short, long = 0, 1
     while truncation_bound(mdp, long) > max_bias:
         short, long = long, 3 * long - 2 * short  # long + twice the gap
     while long - short > 1:

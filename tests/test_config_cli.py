@@ -102,7 +102,8 @@ class TestLoadConfig:
         ({"h_max": 0}, "h_max must lie in (0, 1], got 0"),
         ({"state_count": 1.0}, "state_count must be at least 2, got 1"),
         ({"episodes": 1}, "episodes must be at least 2, got 1"),
-        ({"horizon": -3.0}, "horizon must be non-negative, got -3"),
+        # the Monte Carlo horizon is always the minimal one, so no config sets it
+        ({"horizon": -3.0}, "unknown key: horizon"),
         ({"seed": -1}, "seed must be non-negative, got -1"),
         ({"k": float("inf")}, "k must be finite, got inf"),
         ({"start_state": True}, "start_state must be a number or null, got True"),
@@ -180,6 +181,10 @@ class TestEmitCsv:
         with pytest.raises(ValueError):
             emit_csv([])
 
+    def test_fieldnames_that_disagree_with_the_rows_are_rejected(self):
+        with pytest.raises(ValueError, match="fieldnames disagree"):
+            emit_csv([{"a": 1, "b": 2}], fieldnames=["b", "a"])
+
     def test_inhomogeneous_rows_are_rejected(self):
         with pytest.raises(ValueError, match="homogeneous"):
             emit_csv([{"a": 1}, {"b": 2}])
@@ -240,14 +245,29 @@ class TestCliCommands:
         meta = json.loads((tmp_path / "solve.meta.json").read_text())
         assert meta["results"]["stable_effort"] == 0.0
 
-    def test_myopic_solve_writes_no_negative_zero(self, tmp_path):
-        # the held bottom state costs c(0) = 0, and -c / 1 is -0.0 in floats
-        cfg = write_json(tmp_path / "c.json", {"gamma": 0})
-        out = tmp_path / "solve.csv"
-        assert run(["solve", "--config", cfg, "--out", str(out)]) == 0
+    @pytest.mark.parametrize("command, settings, cell", [
+        # the held bottom state costs c(0) = 0, and a zero value's sign is
+        # whatever its arithmetic leaves: -c / 1 is -0.0 in floats
+        ("solve", {"gamma": 0}, 5),
+        # zero effort costs nothing and risks no fine: its utility is -0.0
+        ("static", None, 6),
+        # with no damage, zero effort's welfare -(h(0) * 0 + c(0)) is -0.0,
+        # and so is the welfare at the optimum in the summary and the sidecar
+        ("welfare", {"damage": 0}, 8),
+    ])
+    def test_no_command_writes_a_negative_zero(self, tmp_path, capsys, command, settings,
+                                               cell):
+        config = (write_json(tmp_path / "c.json", settings) if settings
+                  else str(SRC.parent / "demos" / "canonical.json"))
+        out = tmp_path / "out.csv"
+        assert run([command, "--config", config, "--out", str(out)]) == 0
         cells = [cell for row in csv.reader(io.StringIO(out.read_text())) for cell in row]
-        assert cells[3:6] == ["0", "0", "0"]
+        assert cells[cell] == "0"
         assert "-0" not in cells
+        summary = capsys.readouterr().out.splitlines()[0]
+        assert "=-0," not in summary + ","
+        results = json.loads((tmp_path / "out.meta.json").read_text())["results"]
+        assert not [v for v in results.values() if v == 0 and np.signbit(v)], results
 
     def test_design_backlash_infeasible_at_default_ceiling(self, tmp_path, capsys):
         out = tmp_path / "design.csv"
@@ -337,6 +357,30 @@ class TestCliCommands:
         assert run(["static", "--config", cfg]) == 2
         assert "fail_p0" in capsys.readouterr().err
 
+    def test_static_runs_the_ramp_audit_family(self, tmp_path):
+        # a fine of 0.5 per unit shortfall, against a marginal cost of e + 0.1,
+        # buys effort 0.4 wherever more is required; the step family's flat
+        # expected fine of 0.5 would buy none at requirement 1
+        cfg = write_json(tmp_path / "c.json", {"fail_model": "ramp", "fail_beta": 1.0,
+                                               "fine": 1.0})
+        out = tmp_path / "static.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["static", "--config", cfg, "--out", str(out)]) == 0
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert [row["induced_effort"] for row in rows[4:]] == ["0.4"] * 7
+        assert rows[-1]["shortfall"] == "0.6"
+
+    def test_an_unexpected_error_exits_three_with_a_traceback(self, monkeypatch, capsys):
+        def broken(config):
+            raise KeyError("a defect, not an input error")
+
+        monkeypatch.setitem(cli._COMMANDS, "solve", (broken, "fails"))
+        assert run(["solve"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.rstrip().endswith("KeyError: 'a defect, not an input error'")
+
     def test_impossibility_reaches_its_conclusion(self, tmp_path):
         out = tmp_path / "imp.csv"
         assert run(["impossibility", "--out", str(out)]) == 0
@@ -366,29 +410,29 @@ class TestCliCommands:
         z = float(row["z_score"])
         assert np.isfinite(z) and abs(z) <= 4.0
 
-    def test_simulate_rejects_short_horizons(self, tmp_path, capsys):
-        cfg = write_json(tmp_path / "c.json", {"horizon": 5, "episodes": 100})
+    @pytest.mark.parametrize("horizon", [0, 3])
+    def test_simulate_refuses_a_horizon_key(self, tmp_path, capsys, horizon):
+        # simulate always runs the minimal horizon, so a config that sets one,
+        # even to the old default 0, is refused like any other unknown key
+        cfg = write_json(tmp_path / "c.json", {"horizon": horizon, "episodes": 100})
         assert run(["simulate", "--config", cfg]) == 2
-        assert "horizon" in capsys.readouterr().err
-        # a bound one rounding above the target prints all its digits, not 1e-06
-        cfg = write_json(tmp_path / "c.json", {"gamma": 0.011809453889593476, "horizon": 3})
-        assert run(["simulate", "--config", cfg]) == 2
-        assert capsys.readouterr().err == (
-            "input error: horizon 3 leaves a truncation bias bound of 1.0000000000000006e-06, "
-            "above the target 1e-06; use horizon >= 4\n"
-        )
+        assert capsys.readouterr().err == "config error: unknown key: horizon\n"
 
     def test_simulate_is_not_told_to_use_the_horizon_it_ran(self, tmp_path, capsys):
-        # the formula's horizon here missed the bound, and the message asked
-        # for that same horizon; the searched one meets it, and the
-        # episode-step cap refuses the run
+        # a log formula's horizon here missed the bound, and the message asked
+        # for that same horizon; the first horizon the bound accepts is
+        # 3,384,412,475,222,116 by a 60-digit reference, and the episode-step
+        # cap refuses the run. One step moves the bound by 2.1e-13 of itself,
+        # below the accuracy of its logarithms, so either neighbour will do.
         cfg = write_json(tmp_path / "c.json", {"cost_a": 6.78226840593168e294,
                                                "cost_b": 6.78226840593168e294,
                                                "gamma": 0.9999999999997865})
         assert run(["simulate", "--config", cfg]) == 2
-        assert capsys.readouterr().err.startswith(
-            "input error: n_episodes (100000) * horizon (3384412475222684) at gamma "
-        )
+        err = capsys.readouterr().err
+        prefix = "input error: n_episodes (100000) * horizon ("
+        assert err.startswith(prefix) and "use horizon >=" not in err
+        horizon = int(err[len(prefix):].split(")")[0])
+        assert abs(horizon - 3_384_412_475_222_116) <= 1
 
     def test_simulate_refuses_a_single_episode_by_its_key(self, capsys):
         # a confidence width needs two episodes; the config names the key
@@ -596,7 +640,7 @@ class TestExitCodeSweep:
 
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     @pytest.mark.parametrize("text", [
-        '{"seed": 0, "start_state": 0, "horizon": 0}',
+        '{"seed": 0, "start_state": 0}',
         '{"state_count": 2, "drift": 1, "audit_prob": 0}',
         '{"h_max": 1, "gamma": 0, "damage": 0}',
         '{"start_state": 0.35, "seed": 1e15}',

@@ -103,6 +103,17 @@ class TestActionGrid:
             with pytest.raises(ConstructionError, match="finite"):
                 ActionGrid(np.array(bad))
 
+    @pytest.mark.parametrize("efforts", [[0.0, 0.5, 0.5, 1.0], [0.0, 1.0, 0.5]],
+                             ids=["repeat", "decrease"])
+    def test_rejects_efforts_that_do_not_increase(self, efforts):
+        with pytest.raises(ConstructionError, match="strictly increasing"):
+            ActionGrid(np.array(efforts))
+
+    @pytest.mark.parametrize("e_max", [0.0, -1.0, np.nan])
+    def test_rejects_a_non_positive_ceiling(self, e_max):
+        with pytest.raises(ConstructionError, match="e_max must be positive"):
+            build_action_grid(e_max, 0.1)
+
     def test_rejects_a_non_positive_step(self):
         with pytest.raises(ConstructionError, match="step must be positive"):
             build_action_grid(0.5, 0.0)
@@ -263,6 +274,15 @@ class TestPolicy:
         efforts = space.levels.copy()
         efforts[3] = 0.1  # below the 0.3 requirement
         with pytest.raises(FeasibilityError, match="state 0.3"):
+            Policy(space, efforts)
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, np.inf], ids=["nan", "negative", "inf"])
+    def test_rejects_an_effort_that_is_not_a_finite_non_negative_number(self, space, bad):
+        # a NaN would pass the requirement check, a negative effort would
+        # fail it with a message about shirking instead
+        efforts = space.levels.copy()
+        efforts[0] = bad
+        with pytest.raises(ConstructionError, match="finite and non-negative"):
             Policy(space, efforts)
 
     def test_shape_mismatch(self, space):

@@ -184,6 +184,16 @@ class TestDriftModel:
         with pytest.raises(ConstructionError):
             DriftModel(np.array([0.0, np.nan]))
 
+    @pytest.mark.parametrize("probs", [[], [[0.0, 0.3]]], ids=["empty", "2-d"])
+    def test_rejects_a_sequence_that_is_not_one_non_empty_row(self, probs):
+        with pytest.raises(ConstructionError, match="non-empty 1-d"):
+            DriftModel(np.array(probs))
+
+    @pytest.mark.parametrize("n_states", [0, -2])
+    def test_constant_rejects_fewer_than_one_state(self, n_states):
+        with pytest.raises(ConstructionError, match="n_states must be at least 1"):
+            DriftModel.constant(0.3, n_states)
+
     def test_probs_are_read_only(self):
         d = DriftModel.constant(0.3, 5)
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Seeded rollouts and Monte Carlo value estimation."""
 
 import dataclasses
+import decimal
 import itertools
 import sys
 import threading
@@ -113,13 +114,12 @@ class TestHorizons:
             h = minimal_horizon(mdp, target)
             assert truncation_bound(mdp, h) <= target
 
-    def test_one_log_formula_gives_the_two_branch_horizon(self):
+    def test_the_horizon_is_the_first_its_bound_accepts(self):
         # minimal_horizon reads only gamma and cost_ceiling. Seeded draws of
         # gamma up to 1 - 1e-9, c(e_max) in [1e-100, 1e100] and targets in
-        # [1e-100, 1e6] reach both of the old formula's first two branches
-        # (ratio >= 1, and log of the ratio); the grid reaches its third, the
-        # underflowing ratio. Beyond gamma 1 - 1e-9 the horizons pass 1e9
-        # steps and the two log formulas part by a step now and then.
+        # [1e-100, 1e6] reach a first horizon of 1 and horizons past 1e9
+        # steps; the grid reaches targets whose ratio target * (1 - gamma) /
+        # c(e_max) underflows, where the bound leaves the normal floats.
         rng = np.random.default_rng(2024)
         draws = [(float(1.0 - 10 ** rng.uniform(-9, -0.001)), float(10 ** rng.uniform(-100, 100)),
                   float(10 ** rng.uniform(-100, 6))) for _ in range(20_000)]
@@ -127,15 +127,20 @@ class TestHorizons:
                                       (1e-300, 1e-310, 5e-324)))
         ratios = [target * (1.0 - gamma) / c_max for gamma, c_max, target in draws + grid]
         assert min(ratios) < np.finfo(float).tiny < 1.0 < max(ratios)
+        horizons = set()
         for gamma, c_max, target in draws + grid:
             mdp = types.SimpleNamespace(gamma=gamma, cost_ceiling=c_max)
-            assert minimal_horizon(mdp, target) == two_branch_horizon(gamma, c_max, target)
+            h = minimal_horizon(mdp, target)
+            assert truncation_bound(mdp, h) <= target
+            assert h == 1 or truncation_bound(mdp, h - 1) > target
+            horizons.add(h)
+        assert min(horizons) == 1 and max(horizons) > 10**9
 
     def test_the_horizon_meets_its_own_bound_on_every_edge(self, space, actions, harm, drift):
-        # discounts at the edge between two horizons, where the logs' rounding
-        # decides the ceiling: estimate_value must accept its own horizon,
-        # which is at most one step longer than the shortest that meets the
-        # bound. The two-branch formula fell one step short on some of these.
+        # discounts at the edge between two horizons: estimate_value must
+        # accept its own horizon, and the horizon before it must miss the
+        # bound. A log formula fell one step short on some of these, and one
+        # step long on others.
         rng = np.random.default_rng(7)
         for _ in range(300):
             c_max, target = float(10 ** rng.uniform(-3, 3)), float(10 ** rng.uniform(-9, -3))
@@ -150,17 +155,66 @@ class TestHorizons:
                 mdp = RegulationMdp(space, actions, harm, cost, drift, float(gamma))
                 h = minimal_horizon(mdp, target)
                 assert truncation_bound(mdp, h) <= target
-                assert h <= 2 or truncation_bound(mdp, h - 2) > target
+                assert h == 1 or truncation_bound(mdp, h - 1) > target
+
+    def test_the_bound_keeps_its_digits_across_the_underflow_seam(self):
+        # a 60-digit reference for gamma**H * c(e_max) / (1 - gamma), at
+        # horizons on both sides of the one where gamma**H, or its product
+        # with c(e_max), leaves the normal floats. Below the smallest normal
+        # float a result keeps only the subnormals' absolute resolution.
+        rng = np.random.default_rng(11)
+        ctx = decimal.Context(prec=60)
+        branches = set()
+        for _ in range(2000):
+            gamma = float(1.0 - 10 ** rng.uniform(-9, -0.001))
+            c_max = float(10 ** rng.uniform(-100, 100))
+            seam = np.log(sys.float_info.min) / np.log(gamma)
+            horizon = max(1, int(seam * rng.uniform(0.5, 1.5)))
+            scale = gamma**horizon
+            branches.add(min(scale, scale * c_max) >= sys.float_info.min)
+            g = decimal.Decimal(gamma)
+            exact = ctx.divide(ctx.multiply(ctx.power(g, horizon), decimal.Decimal(c_max)),
+                               ctx.subtract(1, g))
+            bound = truncation_bound(types.SimpleNamespace(gamma=gamma, cost_ceiling=c_max),
+                                     horizon)
+            error = abs(decimal.Decimal(bound) - exact)
+            assert error <= decimal.Decimal(1e-12) * exact + decimal.Decimal(5e-324), (
+                gamma, c_max, horizon)
+        assert branches == {True, False}
+
+    def test_a_horizon_whose_bound_underflowed_is_refused(self, mdp):
+        # 0.5**1075 rounds to 0, but the bound it scales is 4.9e-24, far
+        # above the target
+        loud = dataclasses.replace(mdp, cost=CostModel(5e299, 5e299), gamma=0.5)
+        pol = Policy.comply(loud.space)
+        assert truncation_bound(loud, 1075) == pytest.approx(2.0**-1074 * 1e300, rel=1e-12)
+        with pytest.raises(HorizonTooShortError) as exc:
+            estimate_value(loud, pol, n_episodes=100, horizon=1075, max_truncation_bias=1e-300)
+        assert exc.value.minimal_horizon == 1995
+        assert str(exc.value).endswith("use horizon >= 1995")
+
+    def test_the_refusal_prints_the_bound_with_all_its_digits(self, mdp):
+        # a discount on the edge between horizons 3 and 4: the bound at 3 is
+        # one rounding above the target, and the message must show that
+        edge = dataclasses.replace(mdp, gamma=0.011809453889593476)
+        pol = Policy.comply(edge.space)
+        with pytest.raises(HorizonTooShortError) as exc:
+            estimate_value(edge, pol, n_episodes=100, horizon=3)
+        assert str(exc.value) == (
+            "horizon 3 leaves a truncation bias bound of 1.0000000000000006e-06, "
+            "above the target 1e-06; use horizon >= 4"
+        )
 
     @pytest.mark.parametrize("half_cost, gamma, target", [
-        # a subnormal target: the bound keeps a few bits, and one more step
-        # past the formula's horizon left it at 4.12e-318
+        # a subnormal target, where gamma**horizon * c(e_max) kept only a few
+        # bits and a log formula's horizon left the bound at 4.12e-318
         (5.215354866763183 / 2, 0.9999808138393249, 3.428465e-318),
         # the CLI's own target: the logs' rounding, divided by log gamma of
-        # -2.1e-13, put the formula hundreds of steps short
+        # -2.1e-13, put a log formula hundreds of steps off
         (6.78226840593168e294, 0.9999999999997865, 1e-6),
     ])
-    def test_a_horizon_the_formula_misses_is_searched_for(self, mdp, half_cost, gamma, target):
+    def test_the_first_horizon_is_found_where_a_log_formula_missed(self, mdp, half_cost, gamma,
+                                                                   target):
         far = dataclasses.replace(mdp, cost=CostModel(half_cost, half_cost), gamma=gamma)
         h = minimal_horizon(far, target)
         assert truncation_bound(far, h) <= target < truncation_bound(far, h - 1)
@@ -171,7 +225,7 @@ class TestHorizons:
         free = RegulationMdp(space, build_action_grid(0.4, 1e-3, space.levels), harm,
                              CostModel(5e-324, 5e-324), DriftModel.constant(0.3, 11), 0.9)
         assert free.cost_ceiling == 0.0
-        myopic = dataclasses.replace(free, gamma=0.0)  # log gamma = -inf too: a NaN quotient
+        myopic = dataclasses.replace(free, gamma=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert minimal_horizon(free, 1e-6) == minimal_horizon(myopic, 1e-6) == 1
@@ -215,20 +269,6 @@ class TestHorizons:
             estimate_value(mdp, pol, n_episodes=100, horizon=5)
         assert exc.value.minimal_horizon == 149
         assert "149" in str(exc.value)
-
-
-def two_branch_horizon(gamma, c_max, max_bias):
-    """minimal_horizon as it was before the one log formula: the reference."""
-    if gamma == 0.0:
-        return 1
-    ratio = max_bias * (1.0 - gamma) / c_max
-    if ratio >= 1.0:
-        return 1
-    if ratio < np.finfo(float).tiny:  # the product underflows; add its factors' logs
-        log_ratio = np.log(max_bias) + np.log(1.0 - gamma) - np.log(c_max)
-    else:
-        log_ratio = np.log(ratio)
-    return max(1, int(np.ceil(log_ratio / np.log(gamma))))
 
 
 def reference_estimate(mdp, policy, n_episodes, horizon, seed, start_index=None):
@@ -569,6 +609,13 @@ class TestEstimateValue:
                     estimate_value(
                         mdp, pol, n_episodes=100, horizon=horizon, max_truncation_bias=target
                     )
+
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_rejects_a_horizon_below_one(self, mdp, horizon):
+        # without this check, horizon 0 would be refused as too short, not as invalid
+        pol = Policy.comply(mdp.space)
+        with pytest.raises(DomainError, match="horizon must be at least 1"):
+            estimate_value(mdp, pol, n_episodes=100, horizon=horizon)
 
     def test_rejects_bad_arguments(self, mdp):
         pol = Policy.comply(mdp.space)

@@ -308,6 +308,12 @@ class TestDesignBacklash:
             design_backlash(welfare, 0.9, template, drift, tol, e_max=2.5)
         assert ("refine_tol" in str(exc.value)) == (error is DomainError)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6])
+    def test_rejects_a_tolerance_that_is_not_positive(self, welfare, drift, tol):
+        template = build_state_space(0.0, 2.5, 11, 1.0)
+        with pytest.raises(DomainError, match="tol must be positive"):
+            design_backlash(welfare, 0.9, template, drift, tol, e_max=2.5)
+
     def test_rejects_template_at_the_ceiling(self, welfare, drift):
         template = build_state_space(0.0, 1.0, 11, 1.0)
         with pytest.raises(ConstructionError):
