@@ -1,18 +1,19 @@
 """Exact policy evaluation, action values, and brute-force optimization.
 
-Threshold policies, the ones the solver scans, are evaluated in O(n) over
+Threshold policies, the ones the solver searches, are evaluated in O(n) over
 the chain's structure (`ThresholdChain`), whose threshold-independent tables
 are built once per solve. The chain is the one place a threshold's values and
-its hold margin are computed (`ThresholdChain.values` and `margins`), for the
-solve, the backlash design and the final values alike: a threshold takes its
-backlash value in O(1) from a backward pass in those tables, then its values
-in one substitution pass, which must pass the Bellman-residual and range
-checks. Any other policy is evaluated by solving the linear fixed point
-v = r + gamma P v densely (`evaluate_policy`), which also serves as the
-structured path's check in `verification`. Either way a value function is
-returned only once its Bellman residual is within rounding. Policy iteration
-over the full action grid is retained purely as an independent optimality
-oracle for cross-checks; nothing else depends on it.
+its hold margin are computed (`ThresholdChain.values`, `margin` and the
+search `last_hold`), for the solve, the backlash design and the final values
+alike: a threshold takes its backlash value in O(1) from a backward pass in
+those tables, then its values in one substitution pass, which must pass the
+Bellman-residual and range checks. Any other policy is evaluated by solving
+the linear fixed point v = r + gamma P v densely (`evaluate_policy`), which
+also serves as the structured path's check in `verification`. Either way a
+value function is returned only once its Bellman residual is within
+rounding. Policy iteration over the full action grid is retained purely as
+an independent optimality oracle for cross-checks; nothing else depends on
+it.
 
 All functions are pure functions of immutable inputs, so sweeps over policies
 or thresholds may run concurrently without coordination.
@@ -28,7 +29,7 @@ from .mdp import Policy, RegulationMdp, StateSpace
 
 _IMPROVEMENT_TOL = 1e-9  # a smaller one-step gain is rounding, not an improvement
 _IMPROVEMENT_STEPS = 100  # policy iteration's guard; it settles in a handful
-_SCAN_SLICE = 4096  # thresholds per array call in `ThresholdChain.margins`
+_SCAN_SLICE = 4096  # thresholds per array call in `ThresholdChain.last_hold`
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,11 +87,12 @@ def _value_limits(mdp: RegulationMdp):
 
 
 def _check(residual: float, v_min: float, v_max: float, limits) -> None:
-    """Refuse values whose Bellman residual or range breaks `_value_limits`."""
+    """Refuse values whose Bellman residual or range breaks `_value_limits`, or is NaN."""
     low, bound = limits
-    if residual > bound:
+    # every comparison with NaN is False, so each one is written so that NaN fails it
+    if not residual <= bound:
         raise RuntimeError(f"policy evaluation left a Bellman residual of {residual:.3g}")
-    if v_min < low or v_max > 1e-10:
+    if not (v_min >= low and v_max <= 1e-10):
         raise RuntimeError("policy value escaped the feasible reward range")
 
 
@@ -158,11 +160,13 @@ class ThresholdChain:
     value u + (1 - q) V_B. S_k, like q, is a sum of positive terms, so V_B
     does not cancel as gamma nears 1.
 
-    `values`, `margins` and `margin` all run `_gap`: V_B from the backward
-    pass, then one walk over the states that fills in the values from it
-    and checks them. `values` returns those values and the margins the gap.
-    No path makes a NumPy call over the states: `optimal_threshold` builds
-    one chain per solve and scans some 600 to 1,000 thresholds on it.
+    `values`, `margin` and `last_hold` all run `_gap`: V_B from the
+    backward pass, then one walk over the states that fills in the values
+    from it and checks them. `values` returns those values and the margins
+    the gap. No path makes a NumPy call over the states: `optimal_threshold`
+    builds one chain per solve and searches its 600 to 1,000 candidates down
+    from the backlash level, evaluating only those above the last one that
+    holds and that one itself.
     """
 
     __slots__ = ("mdp", "_levels", "_rows", "_p", "_r", "_s", "_limits")
@@ -198,24 +202,29 @@ class ThresholdChain:
         return [v[0]] * (len(self._levels) - len(v)) + v  # v[0] is every held state's
 
     def margin(self, tau: float) -> float:
-        """`margins` at one threshold, in Python floats, bit for bit."""
-        mdp = self.mdp
-        gap, _ = self._gap(self._held(tau), float(mdp.harm.prob(tau)), float(mdp.cost.value(tau)))
-        return -mdp.gamma * float(mdp.harm.derivative(tau)) * gap - float(mdp.cost.derivative(tau))
-
-    def margins(self, taus: np.ndarray) -> np.ndarray:
-        """-gamma h'(tau) gap(tau) - c'(tau) at each threshold tau in taus.
+        """The hold margin -gamma h'(tau) gap(tau) - c'(tau) at one threshold tau.
 
         Where it is >= 0, every state below tau prefers holding tau to any
         lower effort; the stable effort is the supremum of that region. It is
         gap + c'(tau) / (gamma h'(tau)) >= 0 multiplied through by
         -gamma h'(tau) >= 0, not divided by h'(tau), which underflows to 0 on
-        steep harm curves. The thresholds go `_SCAN_SLICE` at a time, so no
-        list grows to the action grid's size. In a slice, one `searchsorted`
-        gives the held counts and one array call each h and c; the thresholds
-        below every level all evaluate exact compliance and share one `_gap`.
-        h' and c' are taken once the gaps have passed their checks, as in
-        `margin`, so both raise the same error on the same model. One
+        steep harm curves.
+        """
+        mdp = self.mdp
+        gap, _ = self._gap(self._held(tau), float(mdp.harm.prob(tau)), float(mdp.cost.value(tau)))
+        return -mdp.gamma * float(mdp.harm.derivative(tau)) * gap - float(mdp.cost.derivative(tau))
+
+    def last_hold(self, taus: np.ndarray) -> int:
+        """Index of the last threshold in taus whose `margin` is >= 0, or -1 if none holds.
+
+        The search runs down from the last threshold and stops at the first
+        margin >= 0, so the thresholds below that one are never evaluated.
+        It goes `_SCAN_SLICE` thresholds at a time from the top, so no list
+        grows to the action grid's size. In a slice, one `searchsorted` gives
+        the held counts and one array call each h, c, h' and c'; the
+        thresholds below every level all evaluate exact compliance and share
+        one `_gap`. Each margin is formed as (-gamma h') gap - c', the
+        operations `margin` does, so it equals `margin`'s bit for bit. One
         threshold outside the space refuses the whole array.
         """
         mdp = self.mdp
@@ -223,22 +232,24 @@ class ThresholdChain:
         top = mdp.space.backlash_level + 1e-12
         if taus.size and not (taus.min() >= 0.0 and taus.max() <= top):
             self._refuse(taus[~((taus >= 0.0) & (taus <= top))][0])
-        out = np.empty(taus.shape)
-        for start in range(0, taus.size, _SCAN_SLICE):
-            e = taus[start:start + _SCAN_SLICE]
-            ks = np.searchsorted(mdp.space.levels, e, side="right")
-            held = ks > 0
-            t = e[held]
-            gaps = np.empty(e.shape)
-            gaps[held] = [gap for gap, _ in map(self._gap, ks[held].tolist(),
-                                                mdp.harm.prob(t).tolist(),
-                                                mdp.cost.value(t).tolist())]
-            if not held.all():
-                gaps[~held] = self._gap(0, 0.0, 0.0)[0]
-            out[start:start + e.size] = (
-                -mdp.gamma * mdp.harm.derivative(e) * gaps - mdp.cost.derivative(e)
-            )
-        return out
+        below = None  # the gap every threshold below every level shares
+        for stop in range(taus.size, 0, -_SCAN_SLICE):
+            start = max(stop - _SCAN_SLICE, 0)
+            e = taus[start:stop]
+            ks = np.searchsorted(mdp.space.levels, e, side="right").tolist()
+            hs, cs = mdp.harm.prob(e).tolist(), mdp.cost.value(e).tolist()
+            slopes = (-mdp.gamma * mdp.harm.derivative(e)).tolist()
+            dcs = mdp.cost.derivative(e).tolist()
+            for j in range(e.size - 1, -1, -1):
+                if ks[j]:
+                    gap = self._gap(ks[j], hs[j], cs[j])[0]
+                else:
+                    if below is None:
+                        below = self._gap(0, 0.0, 0.0)[0]
+                    gap = below
+                if slopes[j] * gap - dcs[j] >= 0.0:
+                    return start + j
+        return -1
 
     def _held(self, tau: float) -> int:
         """The count of levels <= tau, once tau is known to lie in the space."""

@@ -364,14 +364,15 @@ def agreement_z(estimate: ValueEstimate, exact: float) -> float:
     exact value counts: a sum of `horizon` rounded rewards may be off by
     horizon ulps, and the mean and the exact solve by a few more. The sign is
     that of estimate - exact. With a zero standard error any excess reads
-    +-inf, and no excess reads 0. Under a correct sampler z is about standard
+    +-inf, and no excess reads 0; a NaN estimate or exact value reads NaN,
+    which fails every |z| gate. Under a correct sampler z is about standard
     normal, so |z| > 1.96 in one run in twenty; a check that must not fail on
     a correct stream asks for |z| <= 4.
     """
     error = abs(estimate.mean - exact)
-    excess = max(0.0, error - estimate.truncation_bound
-                 - (estimate.horizon + 4) * np.spacing(abs(exact)))
-    if excess == 0.0:
+    excess = error - estimate.truncation_bound - (estimate.horizon + 4) * np.spacing(abs(exact))
+    if excess <= 0.0:  # False for a NaN excess, which stays NaN
         return 0.0
     se = estimate.half_width_95 / _Z_95
-    return float(np.copysign(excess / se if se > 0 else np.inf, estimate.mean - exact))
+    # excess * inf: +inf for any excess, NaN for a NaN one
+    return float(np.copysign(excess / se if se > 0 else excess * np.inf, estimate.mean - exact))

@@ -121,24 +121,24 @@ def static_optimal_effort(
 def optimal_threshold(mdp: RegulationMdp, refine_tol: float = 1e-6) -> float:
     """The stable effort: the highest threshold the platform holds voluntarily.
 
-    Scans every action-grid effort up to the backlash level for the hold
-    condition, then refines the last sign change by bisection on the
-    continuous margin down to refine_tol. The scan and the bisection evaluate
-    every threshold on one `ThresholdChain`, built once per solve; the scan
-    takes the model over arrays of candidates (`ThresholdChain.margins`) and
-    the bisection one threshold at a time (`ThresholdChain.margin`). Returns 0
-    when the condition holds nowhere (then complying exactly is already
-    optimal), as for every myopic platform: at gamma = 0 each margin is -c'(e).
+    Searches the action-grid efforts up to the backlash level from the top
+    down and stops at the first that meets the hold condition
+    (`ThresholdChain.last_hold`), so only the candidates above the last
+    holding one, and that one, are evaluated; then refines the sign change
+    above it by bisection on the continuous margin down to refine_tol
+    (`ThresholdChain.margin`). Both run on one `ThresholdChain`, built once
+    per solve, and every candidate they evaluate has passed its residual and
+    range checks. Returns 0 when the condition holds nowhere (then complying
+    exactly is already optimal), as for every myopic platform: at gamma = 0
+    each margin is -c'(e).
     """
     if not refine_tol > 0:
         raise DomainError(f"refine_tol must be positive, got {refine_tol}")
     chain = ThresholdChain(mdp)
     cand = mdp.actions.efforts[mdp.actions.efforts <= mdp.space.backlash_level + 1e-12]
-    margins = chain.margins(cand)
-    holds = margins >= 0.0
-    if not holds.any():
+    i = chain.last_hold(cand)
+    if i < 0:
         return 0.0
-    i = int(np.max(np.nonzero(holds)[0]))
     if i == cand.size - 1:
         return float(cand[-1])
     lo, hi = float(cand[i]), float(cand[i + 1])  # margin(lo) >= 0 > margin(hi)

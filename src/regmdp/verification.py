@@ -418,7 +418,7 @@ def monte_carlo_matches_analytic(
                 mdp, policy, n_episodes=n_episodes, seed=int(rng.integers(0, 2**31))
             )
             z = agreement_z(est, analytic)
-            if abs(z) > 4.0:
+            if not abs(z) <= 4.0:  # a NaN z fails too
                 out.failures.append(
                     f"case {case}: estimate {est.mean:.6g} vs analytic {analytic:.6g} "
                     f"is {z:.3g} standard errors off"

@@ -124,7 +124,7 @@ class TestThresholdEvaluation:
     ], ids=["above", "below", "nan"])
     def test_the_scan_refuses_a_threshold_outside_the_space(self, mdp, taus, named):
         with pytest.raises(DomainError, match=f"threshold must lie in .*, got {named}$"):
-            policy_module.ThresholdChain(mdp).margins(np.array(taus))
+            policy_module.ThresholdChain(mdp).last_hold(np.array(taus))
 
     def test_a_backup_off_by_more_than_rounding_is_refused(self, mdp, monkeypatch):
         _overcharge(monkeypatch)
@@ -149,6 +149,25 @@ class TestThresholdEvaluation:
                              mdp.drift, mdp.gamma)
         with pytest.raises(RuntimeError, match="feasible reward range"):
             evaluate(paid, 0.45)
+
+    @pytest.mark.parametrize("evaluate", [
+        evaluate_threshold_policy,
+        lambda mdp, tau: evaluate_policy(mdp, Policy.threshold(mdp.space, tau)),
+        lambda mdp, tau: optimal_threshold(mdp),
+    ], ids=["structured", "dense", "scan"])
+    def test_nan_values_are_refused(self, mdp, evaluate):
+        # a harm curve that is NaN at the backlash level makes every value
+        # NaN; each comparison with NaN is False, so a check written as
+        # residual > bound passed them, and the scan returned 0.0
+        blank = dataclasses.replace(mdp, harm=_BlankAbove(mdp.harm, 0.95))
+        with pytest.raises(RuntimeError, match="Bellman residual of nan"):
+            evaluate(blank, 0.45)
+
+    @pytest.mark.parametrize("v_min, v_max", [(np.nan, -1.0), (-1.0, np.nan)],
+                             ids=["v_min", "v_max"])
+    def test_a_nan_value_range_is_refused(self, mdp, v_min, v_max):
+        with pytest.raises(RuntimeError, match="feasible reward range"):
+            policy_module._check(0.0, v_min, v_max, policy_module._value_limits(mdp))
 
 
 class TestFusedResidual:
@@ -259,6 +278,23 @@ def _overcharge(monkeypatch):
         self._rows = [row[:5] + [row[5] + 1e-6] for row in self._rows]
 
     monkeypatch.setattr(policy_module.ThresholdChain, "__init__", overcharging)
+
+
+class _BlankAbove:
+    """A harm curve that reads NaN above an effort, duck-typed as `RegulationMdp` allows."""
+
+    def __init__(self, harm, top):
+        self.harm, self.top = harm, top
+
+    def prob(self, e):
+        return self._blank(e, self.harm.prob(e))
+
+    def derivative(self, e):
+        return self._blank(e, self.harm.derivative(e))
+
+    def _blank(self, e, x):
+        out = np.where(np.asarray(e) > self.top, np.nan, x)
+        return float(out) if out.ndim == 0 else out
 
 
 class _Payout:

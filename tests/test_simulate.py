@@ -537,6 +537,16 @@ class TestEstimateValue:
         est = estimate_value(mdp, pol, start_level=0.0, n_episodes=60000, seed=12)
         assert abs(agreement_z(est, exact)) <= 4.0
 
+    @pytest.mark.parametrize("half_width", [0.1, 0.0], ids=["spread", "no spread"])
+    def test_a_nan_value_reads_as_disagreement(self, half_width):
+        # max(0.0, nan) is 0.0, which read as perfect agreement
+        est = ValueEstimate(-1.0, half_width, 0.0, 10)
+        for z in (agreement_z(est, np.nan), agreement_z(est._replace(mean=np.nan), -1.0)):
+            assert np.isnan(z)
+            assert not abs(z) <= 4.0
+        assert agreement_z(est, -1.0) == 0.0
+        assert agreement_z(est, -2.0) > 4.0  # +inf with no spread
+
     def test_z_scores_are_standard_normal_over_many_seeds(self, mdp):
         # K runs of 2000 episodes from the backlash state: under an unbiased
         # sampler with a right standard error z has mean 0 and sd 1, so the

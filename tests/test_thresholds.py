@@ -168,77 +168,141 @@ def _forward_margin(chain, e):
 
 
 def _scalar_scan(mdp, margin=ThresholdChain.margin, refine_tol=1e-6):
-    """The scan as one margin call per candidate, with the same bracket and bisection."""
+    """The solve as one margin call per candidate, with the same bracket and bisection.
+
+    Returns every candidate's margin, the index of the last one >= 0 (-1 if
+    none is) and the stable effort.
+    """
     chain = ThresholdChain(mdp)
     cand = _candidates(mdp)
     margins = np.array([margin(chain, e) for e in cand.tolist()])
-    holds = margins >= 0.0
-    if not holds.any():
-        return margins, 0.0
-    i = int(np.max(np.nonzero(holds)[0]))
+    holds = np.nonzero(margins >= 0.0)[0]
+    if not holds.size:
+        return margins, -1, 0.0
+    i = int(holds[-1])
     if i == cand.size - 1:
-        return margins, float(cand[-1])
+        return margins, i, float(cand[-1])
     lo, hi = float(cand[i]), float(cand[i + 1])
-    return margins, _bisect(lambda e: margin(chain, e) >= 0.0, lo, hi, refine_tol)
+    return margins, i, _bisect(lambda e: margin(chain, e) >= 0.0, lo, hi, refine_tol)
 
 
-def _assert_scan_matches_scalar(mdp):
-    margins, stable = _scalar_scan(mdp)
-    scanned = ThresholdChain(mdp).margins(_candidates(mdp))
-    assert scanned.tobytes() == margins.tobytes()
+def _assert_search_matches_scalar(mdp):
+    _, i, stable = _scalar_scan(mdp)
+    assert ThresholdChain(mdp).last_hold(_candidates(mdp)) == i
     assert optimal_threshold(mdp).hex() == stable.hex()
     # an independent reference: every gap from the forward pass, not the
-    # closed form that the scan and the bisection share
-    assert _scalar_scan(mdp, _forward_margin)[1].hex() == stable.hex()
+    # closed form that the search and the bisection share
+    assert _scalar_scan(mdp, _forward_margin)[2].hex() == stable.hex()
+
+
+def _count_gaps(monkeypatch):
+    """Record the held count k of every `_gap` call from here on."""
+    held_counts = []
+    gap = ThresholdChain._gap
+
+    def counting(self, k, h0, c0):
+        held_counts.append(k)
+        return gap(self, k, h0, c0)
+
+    monkeypatch.setattr(ThresholdChain, "_gap", counting)
+    return held_counts
 
 
 class TestArrayScan:
+    """`ThresholdChain.last_hold`, the downward search, against `_scalar_scan`."""
+
     @pytest.mark.parametrize("overrides", [
         {}, {"state_min": 0.5}, {"k": 2000}, {"gamma": 0}, {"gamma": 0.9999},
     ], ids=["canonical", "below every level", "harm slope 0", "gamma 0", "gamma 0.9999"])
     def test_matches_the_scalar_scan_bit_for_bit(self, overrides):
-        _assert_scan_matches_scalar(load_config(None, overrides).mdp())
+        _assert_search_matches_scalar(load_config(None, overrides).mdp())
 
     def test_matches_the_scalar_scan_on_random_draws(self):
         rng = np.random.default_rng(17)
         for _ in range(30):
-            _assert_scan_matches_scalar(random_mdp(rng))
+            _assert_search_matches_scalar(random_mdp(rng))
+
+    def test_evaluates_only_the_candidates_down_to_the_last_hold(self, mdp, monkeypatch):
+        cand = _candidates(mdp)
+        i = _scalar_scan(mdp)[1]
+        held_counts = _count_gaps(monkeypatch)
+        assert ThresholdChain(mdp).last_hold(cand) == i
+        assert len(held_counts) == cand.size - i
+        assert 0 < i < cand.size - 1
 
     def test_candidates_below_every_level_share_one_evaluation(self, monkeypatch):
+        # nothing at or above 0.5 holds, so the search reaches the 500
+        # candidates below every level and evaluates them once
         mdp = load_config(None, {"state_min": 0.5}).mdp()
         cand = _candidates(mdp)
         assert (cand.size, int((cand < mdp.space.levels[0]).sum())) == (1001, 500)
-        held_counts = []
-        gap = ThresholdChain._gap
-
-        def counting(self, k, h0, c0):
-            held_counts.append(k)
-            return gap(self, k, h0, c0)
-
-        monkeypatch.setattr(ThresholdChain, "_gap", counting)
-        ThresholdChain(mdp).margins(cand)
+        i = _scalar_scan(mdp)[1]
+        held_counts = _count_gaps(monkeypatch)
+        assert ThresholdChain(mdp).last_hold(cand) == i
         assert len(held_counts) == 502
         assert held_counts.count(0) == 1
 
+    def test_a_top_candidate_that_holds_ends_the_search_at_once(self, mdp, monkeypatch):
+        # the backlash level itself never holds (its gap is 0 and c' > 0), so
+        # the search is cut at the canonical last hold to put it on top
+        i = _scalar_scan(mdp)[1]
+        held_counts = _count_gaps(monkeypatch)
+        assert ThresholdChain(mdp).last_hold(_candidates(mdp)[:i + 1]) == i
+        assert len(held_counts) == 1
+
+    def test_nothing_holds_for_a_myopic_platform(self, monkeypatch):
+        mdp = load_config(None, {"gamma": 0}).mdp()
+        cand = _candidates(mdp)
+        margins, i, _ = _scalar_scan(mdp)
+        assert i == -1 and (margins < 0.0).all()
+        held_counts = _count_gaps(monkeypatch)
+        assert ThresholdChain(mdp).last_hold(cand) == -1
+        assert len(held_counts) == cand.size
+        assert optimal_threshold(mdp) == 0.0
+
+    def test_an_empty_search_holds_nothing(self, mdp):
+        assert ThresholdChain(mdp).last_hold(np.array([])) == -1
+
+    def test_at_gamma_one_minus_an_ulp_the_stable_effort_is_the_limit(self):
+        # the forward pass loses the gap to cancellation here, so the scalar
+        # scan over the closed form is the one reference
+        mdp = load_config(None, {"gamma": 1 - 2.0**-53}).mdp()
+        _, i, stable = _scalar_scan(mdp)
+        assert ThresholdChain(mdp).last_hold(_candidates(mdp)) == i
+        assert optimal_threshold(mdp).hex() == stable.hex()
+        assert abs(stable - 0.497391) <= 1e-5
+
     def test_a_slice_boundary_changes_nothing(self, mdp, monkeypatch):
-        whole = ThresholdChain(mdp).margins(_candidates(mdp))
+        cand = _candidates(mdp)
+        whole = ThresholdChain(mdp).last_hold(cand)
+        stable = optimal_threshold(mdp)
         monkeypatch.setattr(policy, "_SCAN_SLICE", 7)
-        sliced = ThresholdChain(mdp).margins(_candidates(mdp))
-        assert sliced.tobytes() == whole.tobytes()
+        held_counts = _count_gaps(monkeypatch)
+        assert ThresholdChain(mdp).last_hold(cand) == whole
+        assert len(held_counts) == cand.size - whole  # the slices cut no work short
+        assert optimal_threshold(mdp).hex() == stable.hex()
+        for overrides in ({"state_min": 0.5}, {"gamma": 0}):
+            other = load_config(None, overrides).mdp()
+            i, stable = _scalar_scan(other)[1:]
+            assert ThresholdChain(other).last_hold(_candidates(other)) == i
+            assert optimal_threshold(other).hex() == stable.hex()
 
     def test_margins_change_sign_at_most_once(self):
         # 150 draws up to gamma 0.9999, then 60 at the patient edge, where
         # the held and backlash values grow like 1 / (1 - gamma) and only
-        # the gap formed from (1 - gamma) V_B keeps its sign
+        # the gap formed from (1 - gamma) V_B keeps its sign; the full scan
+        # is the scalar margin at every candidate
         rng = np.random.default_rng(23)
         patient = (1 - 1e-9, 1 - 1e-12, 1 - 2.0**-53)
         for case in range(210):
             mdp = random_mdp(rng, (3, 40), (0.3, 0.9999))
             if case >= 150:
                 mdp = dataclasses.replace(mdp, gamma=patient[case % 3])
-            holds = ThresholdChain(mdp).margins(_candidates(mdp)) >= 0.0
+            margins, i, _ = _scalar_scan(mdp)
+            holds = margins >= 0.0
             changes = np.nonzero(holds[1:] != holds[:-1])[0]
             assert changes.size <= 1, f"case {case}: sign changes after candidates {changes}"
+            assert ThresholdChain(mdp).last_hold(_candidates(mdp)) == i, case
 
 
 class TestOverreactionGap:

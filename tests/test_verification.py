@@ -106,6 +106,17 @@ def test_design_suite_skips_draws_the_ceiling_cannot_bracket(monkeypatch):
     assert result.checks == 2 < len(calls)
 
 
+def test_monte_carlo_suite_fails_a_nan_agreement(monkeypatch):
+    # agreement_z reads NaN when the estimate or the exact value is NaN;
+    # a gate written as |z| > 4 let that through
+    monkeypatch.setattr(verification, "agreement_z", lambda est, exact: float("nan"))
+    result = verification.monte_carlo_matches_analytic(n_scenarios=1, n_episodes=100)
+    assert result.checks == 1
+    assert len(result.failures) == 1
+    assert result.failures[0].startswith("case 0: ")
+    assert result.failures[0].endswith("is nan standard errors off")
+
+
 def test_design_suite_reports_too_few_feasible_designs(monkeypatch):
     def never_feasible(*args, **kwargs):
         raise InsufficientMaxEffortError(1.0, 0.5)
