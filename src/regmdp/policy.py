@@ -208,11 +208,15 @@ class ThresholdChain:
         lower effort; the stable effort is the supremum of that region. It is
         gap + c'(tau) / (gamma h'(tau)) >= 0 multiplied through by
         -gamma h'(tau) >= 0, not divided by h'(tau), which underflows to 0 on
-        steep harm curves.
+        steep harm curves. A NaN margin raises RuntimeError: read as < 0 it
+        would pass for a threshold that does not hold.
         """
         mdp = self.mdp
         gap, _ = self._gap(self._held(tau), float(mdp.harm.prob(tau)), float(mdp.cost.value(tau)))
-        return -mdp.gamma * float(mdp.harm.derivative(tau)) * gap - float(mdp.cost.derivative(tau))
+        m = -mdp.gamma * float(mdp.harm.derivative(tau)) * gap - float(mdp.cost.derivative(tau))
+        if m != m:
+            _nan_margin(tau)
+        return m
 
     def last_hold(self, taus: np.ndarray) -> int:
         """Index of the last threshold in taus whose `margin` is >= 0, or -1 if none holds.
@@ -224,8 +228,9 @@ class ThresholdChain:
         the held counts and one array call each h, c, h' and c'; the
         thresholds below every level all evaluate exact compliance and share
         one `_gap`. Each margin is formed as (-gamma h') gap - c', the
-        operations `margin` does, so it equals `margin`'s bit for bit. One
-        threshold outside the space refuses the whole array.
+        operations `margin` does, so it equals `margin`'s bit for bit, and a
+        NaN one raises as there. One threshold outside the space refuses the
+        whole array.
         """
         mdp = self.mdp
         taus = np.asarray(taus, dtype=float)
@@ -247,8 +252,11 @@ class ThresholdChain:
                     if below is None:
                         below = self._gap(0, 0.0, 0.0)[0]
                     gap = below
-                if slopes[j] * gap - dcs[j] >= 0.0:
+                m = slopes[j] * gap - dcs[j]
+                if m >= 0.0:
                     return start + j
+                if m != m:
+                    _nan_margin(e[j])
         return -1
 
     def _held(self, tau: float) -> int:
@@ -304,6 +312,10 @@ class ThresholdChain:
             prev = vi
         _check(residual + gamma * abs(prev - vb), min(v), max(v), self._limits)
         return gap, v
+
+
+def _nan_margin(tau):
+    raise RuntimeError(f"the hold margin at threshold {float(tau)!r} is NaN")
 
 
 def evaluate_threshold_policy(mdp: RegulationMdp, tau: float) -> ValueFunction:

@@ -202,12 +202,20 @@ def socially_optimal_effort(model: WelfareModel, *, e_max: float = 1.0) -> float
     condition -h'(e) * damage = c'(e) has at most one root, found by bisection
     to float resolution; when no interior root exists the maximizing boundary
     is returned. With damage zero the marginal is negative everywhere and the
-    answer is 0.
+    answer is 0. A NaN marginal raises RuntimeError, since each test would
+    read it as a sign.
     """
     if not e_max > 0:
         raise DomainError(f"e_max must be positive, got {e_max}")
-    if model.marginal_welfare(0.0) <= 0.0:
+
+    def marginal(e) -> float:
+        m = model.marginal_welfare(e)
+        if m != m:
+            raise RuntimeError(f"marginal welfare at effort {float(e)!r} is NaN")
+        return m
+
+    if marginal(0.0) <= 0.0:
         return 0.0
-    if model.marginal_welfare(e_max) >= 0.0:
+    if marginal(e_max) >= 0.0:
         return float(e_max)
-    return _bisect(lambda e: model.marginal_welfare(e) > 0.0, 0.0, float(e_max), 0.0)
+    return _bisect(lambda e: marginal(e) > 0.0, 0.0, float(e_max), 0.0)

@@ -83,12 +83,13 @@ def static_expected_utility(regime: StaticRegime, cost: CostModel, e, e_c: float
 
     Meeting the requirement makes an audit failure impossible by definition,
     so the failure probability is forced to zero for e >= e_c no matter what
-    the supplied failure family returns there.
+    the supplied failure family returns there. Probabilities outside [0, 1],
+    or NaN, raise DomainError.
     """
     e_arr = _effort_array(e)
     pf = np.where(e_arr < e_c, np.asarray(regime.fail_model(e_arr, e_c), dtype=float), 0.0)
-    if np.any(pf < 0) or np.any(pf > 1):
-        raise DomainError("failure model produced probabilities outside [0, 1]")
+    if not np.all((pf >= 0) & (pf <= 1)):  # NaN fails it too
+        raise DomainError("failure model produced probabilities outside [0, 1] or NaN")
     out = -np.asarray(cost.value(e_arr)) - regime.audit_prob * pf * regime.fine
     return float(out) if out.ndim == 0 else out
 

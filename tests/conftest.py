@@ -1,5 +1,6 @@
 from bisect import bisect_right
 
+import numpy as np
 import pytest
 
 from regmdp import (
@@ -114,3 +115,18 @@ def two_pass_residual(mdp, k, h0, c0, v):
         r = abs(vi - (gamma * (hi * vb + (1.0 - hi) * (gi * prev + (1.0 - gi) * vi)) - ci))
         residual = max(residual, r)
     return residual
+
+
+class NanSlope:
+    """A harm curve whose slope reads NaN on (lo, hi], duck-typed as the models allow."""
+
+    def __init__(self, harm, lo, hi=np.inf):
+        self.harm, self.lo, self.hi = harm, lo, hi
+
+    def prob(self, e):
+        return self.harm.prob(e)
+
+    def derivative(self, e):
+        x = np.asarray(e)
+        out = np.where((x > self.lo) & (x <= self.hi), np.nan, self.harm.derivative(e))
+        return float(out) if out.ndim == 0 else out

@@ -417,22 +417,22 @@ class TestExactValues:
 SEED_GOLDEN = {
     0: ("0x1.29f374bc6a7f0p-3", "a4542feda9101fb5"),
     1: ("0x1.0df9fbe76c8b4p-2", "21abd596d5ea6fdc"),
-    2: ("0x0.0p+0", "a27d8db8be4fceaa"),
-    3: ("0x0.0p+0", "0fc52bda02a5acf6"),
-    4: ("0x1.0eca1cac08312p-2", "db3bbccf5fd9cf74"),
-    5: ("0x1.dc1e353f7ced9p-4", "813817dcdd3cf1a9"),
+    2: ("0x0.0p+0", "869f469e9e62a92c"),
+    3: ("0x0.0p+0", "1d785744ed4c8116"),
+    4: ("0x1.95cc8b4395810p-3", "4c43803b4e1c95d6"),
+    5: ("0x1.4fffdf3b645a2p-2", "3a40fea4f6b1cf0f"),
     6: ("0x1.46883126e978ep-5", "1ab33d80d4b9e164"),
-    7: ("0x1.4bebc6a7ef9dcp-3", "4c33e3163e6ed7e1"),
+    7: ("0x1.925a5e353f7d0p-3", "cbcbf8cf58ad4d60"),
     8: ("0x1.2673b645a1cacp-5", "275ebfdf225b9c7e"),
-    9: ("0x1.50689374bc6a8p-2", "f0900b0da551b952"),
-    10: ("0x1.fdfc6a7ef9db2p-4", "5c7ef4a07998dcfc"),
-    11: ("0x1.c20e560418937p-6", "180bd10dad83f8d8"),
+    9: ("0x1.076b851eb851ep-5", "2b178f2d12f6c1e6"),
+    10: ("0x1.1384395810624p-2", "cea588ce1cec200e"),
+    11: ("0x0.0p+0", "50d88d0d953b5760"),
     12: ("0x1.18b04189374bcp-2", "6b0aefbb2721caa0"),
-    13: ("0x1.614f7ced91688p-2", "1204e0556cc80da6"),
-    14: ("0x1.8a0810624dd30p-2", "c9f96463ee4d5881"),
+    13: ("0x1.09cb851eb8520p-3", "75ddfb4b401dda81"),
+    14: ("0x1.7ed4bc6a7ef9ep-3", "faba53670577a2ef"),
     15: ("0x1.4afced916872cp-5", "82ed21b0440cd8bb"),
     16: ("0x1.0f6e560418938p-3", "3f94940f82dee752"),
-    17: ("0x0.0p+0", "5335ed2b78715de0"),
+    17: ("0x1.7db126e978d50p-5", "eccafa576245650b"),
     18: ("0x1.2715c28f5c290p-3", "a554e568fdce5c66"),
     19: ("0x1.d051a9fbe76cap-3", "4c30cb9c33873fa3"),
 }

@@ -20,6 +20,8 @@ from regmdp import (
     socially_optimal_effort,
 )
 
+from conftest import NanSlope
+
 H_AT_HALF = 0.27850412811874387
 H_SLOPE_AT_HALF = -0.5355123843562316
 EW_AT_HALF = -0.7320082562374877
@@ -253,6 +255,17 @@ class TestSociallyOptimalEffort:
     def test_huge_damage_pins_the_ceiling(self, harm, cost):
         w = WelfareModel(harm, cost, 100.0)
         assert socially_optimal_effort(w) == 1.0
+
+    @pytest.mark.parametrize("lo, hi, at", [
+        (-1.0, 0.0, "0.0"), (0.3, np.inf, "1.0"), (0.3, 0.7, "0.5"),
+    ], ids=["at 0", "at e_max", "in the bisection"])
+    def test_a_nan_marginal_welfare_raises(self, welfare, lo, hi, at):
+        # each test read NaN as a sign: a slope that is NaN above 0.3 gave
+        # 0.30000000000000004, and one NaN at 0 alone gave the optimum
+        nan = dataclasses.replace(welfare, harm=NanSlope(welfare.harm, lo, hi))
+        message = rf"^marginal welfare at effort {re.escape(at)} is NaN$"
+        with pytest.raises(RuntimeError, match=message):
+            socially_optimal_effort(nan)
 
     def test_rejects_bad_tolerances(self, welfare):
         with pytest.raises(DomainError):

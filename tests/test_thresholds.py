@@ -33,7 +33,7 @@ from regmdp.policy import ThresholdChain
 from regmdp.primitives import _bisect
 from regmdp.verification import random_mdp
 
-from conftest import forward_values
+from conftest import NanSlope, forward_values
 
 E_STAR = 0.6284733737717892
 E_STAR_2 = 0.8401322599573315
@@ -78,14 +78,19 @@ class TestStaticRegime:
         regime = StaticRegime(1.0, 100.0, AlwaysFail())
         assert static_expected_utility(regime, cost, 0.5, 0.5) == pytest.approx(-0.175)
 
-    def test_invalid_failure_probabilities_are_rejected(self, cost):
+    @pytest.mark.parametrize("p", [1.5, -0.5, np.nan])
+    def test_invalid_failure_probabilities_are_rejected(self, cost, actions, p):
+        # a check written as pf < 0 or pf > 1 passed NaN: utility nan, and a
+        # static effort of 0.0, the argmax of a NaN row
         class Broken:
             def __call__(self, e, e_c):
-                return np.full_like(np.asarray(e, dtype=float), 1.5)
+                return np.full_like(np.asarray(e, dtype=float), p)
 
-        regime = StaticRegime(1.0, 100.0, Broken())
-        with pytest.raises(DomainError):
+        regime = StaticRegime(0.5, 10.0, Broken())
+        with pytest.raises(DomainError, match=r"outside \[0, 1\] or NaN$"):
             static_expected_utility(regime, cost, 0.2, 0.5)
+        with pytest.raises(DomainError, match=r"outside \[0, 1\] or NaN$"):
+            static_optimal_effort(regime, cost, 0.5, actions)
 
     def test_rejects_bad_regime_parameters(self):
         with pytest.raises(ConstructionError):
@@ -149,6 +154,23 @@ class TestOptimalThreshold:
         expected = np.maximum(stable, m.space.levels)
         assert np.max(np.abs(brute.efforts - expected)) <= 1e-3 + 1e-9
         assert 0.0 < stable < 0.1
+
+    def test_a_nan_hold_margin_raises(self, mdp):
+        # read as "does not hold", a slope that is NaN above 0.3 gave 0.29999951171875006
+        nan = dataclasses.replace(mdp, harm=NanSlope(mdp.harm, 0.3))
+        with pytest.raises(RuntimeError, match=r"^the hold margin at threshold 1\.0 is NaN$"):
+            optimal_threshold(nan)
+        chain = ThresholdChain(nan)
+        with pytest.raises(RuntimeError, match=r"^the hold margin at threshold 0\.45 is NaN$"):
+            chain.margin(0.45)
+        assert chain.margin(0.25) == ThresholdChain(mdp).margin(0.25)
+
+    def test_a_nan_hold_margin_in_the_bisection_raises(self, mdp):
+        # the search's candidates 0.450 and 0.451 hold and fail as with the
+        # real slope; the bisection between them meets the NaN at 0.45075
+        nan = dataclasses.replace(mdp, harm=NanSlope(mdp.harm, 0.4507, 0.4508))
+        with pytest.raises(RuntimeError, match=r"^the hold margin at threshold 0\.45075 is NaN$"):
+            optimal_threshold(nan)
 
     def test_rejects_bad_refine_tol(self, mdp):
         with pytest.raises(DomainError):
@@ -328,6 +350,14 @@ class TestDesignBacklash:
         assert design.designed_e_h > design.target_e_star
         assert abs(design.achieved_threshold - design.target_e_star) <= 2e-3
         assert not design.degenerate
+
+    def test_a_nan_harm_slope_raises(self, welfare, drift):
+        # the design came back with degenerate False and residual nan; the
+        # target's welfare search now meets the NaN first
+        template = build_state_space(0.0, 2.5, 11, 1.0)
+        nan = dataclasses.replace(welfare, harm=NanSlope(welfare.harm, 0.3))
+        with pytest.raises(RuntimeError, match=r"^marginal welfare at effort 2\.5 is NaN$"):
+            design_backlash(nan, 0.9, template, drift, e_max=2.5)
 
     def test_canonical_ceiling_is_insufficient(self, welfare, drift, space):
         with pytest.raises(InsufficientMaxEffortError) as exc:

@@ -129,7 +129,7 @@ def test_design_suite_reports_too_few_feasible_designs(monkeypatch):
 
 
 def unbounded_random_levels(rng, n, top):
-    """random_levels before its draws were bounded: the reference for every draw that ends."""
+    """The rejection sampler random_levels replaced: the reference for its law."""
     if rng.random() < 0.5:
         return np.linspace(0.0, top, n)
     while True:
@@ -139,17 +139,60 @@ def unbounded_random_levels(rng, n, top):
             return levels
 
 
-@pytest.mark.parametrize("n", [3, 11, 31, 45])
-def test_random_levels_keeps_every_draw_that_ends(n):
-    for seed in range(40):
-        got = verification.random_levels(np.random.default_rng(seed), n, 0.8)
-        want = unbounded_random_levels(np.random.default_rng(seed), n, 0.8)
-        assert got.tobytes() == want.tobytes()
+def _ks_distance(a, b):
+    """The largest gap between the empirical distribution functions of two samples."""
+    a, b = np.sort(a), np.sort(b)
+    x = np.concatenate([a, b])
+    return float(np.max(np.abs(
+        np.searchsorted(a, x, side="right") / a.size - np.searchsorted(b, x, side="right") / b.size
+    )))
 
 
-def test_random_levels_gives_up_where_no_draw_passes():
-    # at 201 levels on [0, 0.6] no gap pattern passes in practice, and the
-    # unbounded loop never ended; seed 0 takes the random branch
-    with pytest.raises(DomainError, match=r"^no random grid of 201 levels from 0 to 0\.6 "
-                                          r"with every gap above 0\.001 in 10,000 draws$"):
-        verification.random_levels(np.random.default_rng(0), 201, 0.6)
+@pytest.mark.parametrize("n", [3, 11, 31])
+def test_random_levels_draws_the_law_of_the_rejection_sampler(n):
+    # two-sample Kolmogorov-Smirnov at alpha 1e-3 on three statistics of
+    # 4,000 random (not uniform) grids per sampler
+    top, size = 0.8, 4000
+    uniform = np.linspace(0.0, top, n).tobytes()
+
+    def random_grids(sampler, seed):
+        rng = np.random.default_rng(seed)
+        grids = []
+        while len(grids) < size:
+            g = sampler(rng, n, top)
+            if g.tobytes() != uniform:
+                grids.append(g)
+        return np.array(grids)
+
+    new = random_grids(verification.random_levels, 1)
+    old = random_grids(unbounded_random_levels, 2)
+    bound = np.sqrt(-np.log(1e-3 / 2) * 2 / size)
+    statistics = {
+        "first level": lambda g: g[:, 1],
+        "middle level": lambda g: g[:, n // 2],
+        "smallest gap": lambda g: np.diff(g, axis=1).min(axis=1),
+    }
+    for name, stat in statistics.items():
+        assert _ks_distance(stat(new), stat(old)) <= bound, name
+
+
+@pytest.mark.parametrize("n, top", [(101, 0.6), (201, 0.6), (600, 0.9), (600, 0.6)])
+def test_random_levels_draws_every_grid_whose_gaps_fit(n, top):
+    # the rejection sampler passed no draw in 20,000 at 101 levels; 600 levels
+    # on [0, 0.6] leave 0.001 to spread over the 599 gaps
+    drawn_at_random = 0
+    for seed in range(20):
+        levels = verification.random_levels(np.random.default_rng(seed), n, top)
+        assert levels.size == n and levels[0] == 0.0 and levels[-1] == top
+        assert np.min(np.diff(levels)) > verification._LEVEL_GAP - 4 * np.spacing(top)
+        drawn_at_random += levels.tobytes() != np.linspace(0.0, top, n).tobytes()
+    assert drawn_at_random
+
+
+@pytest.mark.parametrize("n, top", [(601, 0.6), (700, 0.6), (2, 1e-3)])
+def test_random_levels_refuses_a_grid_whose_gaps_cannot_fit(n, top):
+    # (n - 1) * 0.001 >= top, whichever branch the seed would take
+    for seed in range(4):
+        with pytest.raises(DomainError, match=rf"^no grid of {n} levels from 0 to {top!r} "
+                                              r"has every gap above 0\.001$"):
+            verification.random_levels(np.random.default_rng(seed), n, top)
